@@ -236,11 +236,11 @@ def bench_int_dispatch(n: int, repeats: int) -> dict:
 # phase 4c: mesh scale-out (16 -> 1024 nodes, one subprocess per size)
 # ---------------------------------------------------------------------
 
-# Runs in a fresh interpreter so ru_maxrss — which is monotonic over a
-# process lifetime — reports the peak of THIS size alone, not of
-# whatever bigger mesh ran earlier in the benchmark process.
+# Runs in a fresh interpreter and reports its own VmHWM, which execve
+# resets, so the peak is THIS size's alone.  ru_maxrss would not do:
+# it survives execve and carries the benchmark process's high-water mark.
 _MESH_CELL_SNIPPET = r"""
-import json, resource, sys, time
+import json, sys, time
 nodes, scale = int(sys.argv[1]), float(sys.argv[2])
 from repro.sim.config import scaled_config
 from repro.system import System
@@ -251,10 +251,13 @@ system = System(scaled_config(nodes, seed=1), wl, "baseline")
 t0 = time.perf_counter()
 system.run()
 wall = time.perf_counter() - t0
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
 print(json.dumps({
     "events": system.sim.events_processed,
     "wall": wall,
-    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "peak_rss_kb": peak_kb,
     "route_tables": system.mesh.has_tables,
 }))
 """

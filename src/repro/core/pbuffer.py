@@ -5,7 +5,9 @@ transaction priority (timestamp) observed from that node's coherence
 requests.  A 2-bit validity counter per entry and a directory-wide
 rollover timeout implement staleness control (Fig. 5):
 
-* on timeout, every non-zero validity counter is decremented;
+* on timeout, every non-zero validity counter is decremented (``k``
+  timeouts at once subtract ``min(v, k)``, the same as ``k`` single
+  decrements);
 * on a priority update, the counter is incremented — twice when it was
   0, "to allow a longer timeout period";
 * only entries with validity greater than the threshold (1) are used
@@ -70,12 +72,13 @@ class PBuffer:
         self._length[node] = 0
         self.invalidations += 1
 
-    def decay(self) -> None:
-        """Rollover timeout: age every non-zero validity counter."""
-        self.decays += 1
+    def decay(self, k: int = 1) -> None:
+        """``k`` rollover timeouts: age every validity counter by ``k``,
+        flooring at 0."""
+        self.decays += k
         for i, v in enumerate(self._validity):
             if v > 0:
-                self._validity[i] = v - 1
+                self._validity[i] = v - k if v > k else 0
 
     # ------------------------------------------------------------------
     def usable(self, node: int, now: Optional[int] = None) -> bool:

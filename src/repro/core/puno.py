@@ -1,8 +1,8 @@
 """Directory-side PUNO unit (Section III-B/C/E).
 
 One unit per directory (home node).  It owns the P-Buffer and the
-rollover-timeout machinery, maintains each entry's UD pointer after
-services, decides when a transactional GETX can be unicast, and applies
+rollover counter, maintains each entry's UD pointer after services,
+decides when a transactional GETX can be unicast, and applies
 misprediction feedback relayed on UNBLOCK messages.
 
 The rollover counter's timeout period adapts to transaction behaviour:
@@ -11,6 +11,13 @@ static-transaction length estimate (``TxTag.length_hint``), and the
 unit keeps an exponential moving average of those hints — this is the
 "average transaction length obtained from a hardware mechanism" the
 paper uses to set the period.
+
+The rollover counter is a counter, not a stream of heap events: the
+unit keeps the cycle of its next tick and, whenever it is touched,
+applies every tick that fell due since in one ``PBuffer.decay(k)``.
+Only ``observe_request`` moves the period, and it catches up before
+it does, so all the ticks of one catch-up share one period.  A tick
+due at exactly the touch cycle is applied before the touch.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ class DirectoryPUNO:
         self.stats = stats
         self.pbuffer = PBuffer(num_nodes, config)
         self._avg_tx_len: float = float(config.min_timeout)
-        self._active = True
-        self._schedule_timeout()
+        # cycle of the next rollover tick; inf once stopped
+        self._next_tick: float = sim.now + self._timeout_period()
 
     # ------------------------------------------------------------------
     # critical-path latency the directory charges for prediction
@@ -56,6 +63,7 @@ class DirectoryPUNO:
         tag = msg.tx
         if tag is None:
             return
+        self._catch_up()
         prev = self.pbuffer.update(tag.node, tag.timestamp, tag.length_hint,
                                    self.sim.now)
         self.stats.puno_pbuffer_updates += 1
@@ -79,6 +87,7 @@ class DirectoryPUNO:
         The prediction fires only when the entry's UD pointer names a
         current sharer whose (fresh) priority beats the requester's.
         """
+        self._catch_up()
         declines = self.stats._puno_decline_counts
         if not self.config.unicast_enabled:
             declines[DECLINE_DISABLED] += 1
@@ -139,6 +148,7 @@ class DirectoryPUNO:
     # ------------------------------------------------------------------
     def feedback_mispredict(self, node: int) -> None:
         """UNBLOCK carried MP feedback: drop the stale priority."""
+        self._catch_up()
         self.pbuffer.invalidate(node)
         self.stats.puno_pbuffer_invalidations += 1
         if self.stats.tracer is not None:
@@ -147,6 +157,7 @@ class DirectoryPUNO:
 
     def after_service(self, entry) -> None:
         """Recompute the UD pointer (off the critical path)."""
+        self._catch_up()
         readers = entry.tx_readers if self.config.reader_epoch_filter else None
         entry.ud = recompute_ud(entry.sharers, self.pbuffer, readers,
                                 self.sim.now)
@@ -161,16 +172,17 @@ class DirectoryPUNO:
         period = int(self._avg_tx_len * c.timeout_scale)
         return max(c.min_timeout, min(period, c.max_timeout))
 
-    def _schedule_timeout(self) -> None:
-        self.sim.call_later(self._timeout_period(), self._on_timeout)
-
-    def _on_timeout(self) -> None:
-        if not self._active:
-            return
-        self.pbuffer.decay()
-        self.stats.puno_timeouts += 1
-        self._schedule_timeout()
+    def _catch_up(self) -> None:
+        """Apply every rollover tick due at or before now."""
+        now = self.sim.now
+        if self._next_tick <= now:
+            period = self._timeout_period()
+            k = (now - self._next_tick) // period + 1
+            self.pbuffer.decay(k)
+            self.stats.puno_timeouts += k
+            self._next_tick += k * period
 
     def stop(self) -> None:
-        """Stop rescheduling timeouts so the event heap can drain."""
-        self._active = False
+        """Final catch-up at the finish cycle; the unit ages no more."""
+        self._catch_up()
+        self._next_tick = float("inf")

@@ -31,7 +31,7 @@ Hot-path notes
 * Cancelled events normally stay in the heap until they surface at the
   top, but once they exceed half the heap (and a small absolute floor)
   the heap is compacted in place — long runs with heavy
-  cancel-and-reschedule traffic (node timeouts, PUNO timers) no longer
+  cancel-and-reschedule traffic (node timeouts) no longer
   drag a tail of dead entries through every sift.
 * ``schedule`` validation (negative-delay check, int coercion) can be
   skipped by running ``python -O`` or setting ``REPRO_ENGINE_FAST=1``;

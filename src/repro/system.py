@@ -207,8 +207,8 @@ class System:
         t0 = time.perf_counter()
         for node in self.nodes:
             node.start()
-        # Run in bounded chunks so the watchdog can fire even while
-        # PUNO timeout timers keep the event heap non-empty.
+        # Run in bounded chunks so the max_cycles budget is checked
+        # even when a livelocked run never lets the event heap drain.
         chunk = 2_000_000
         while True:
             self.sim.run(max_events=chunk)

@@ -50,14 +50,16 @@ def test_paper_256_shape():
     assert smoke.scale < spec.scale
 
 
-def test_paper_1024_excludes_puno():
-    """The 1024 tier exists to avoid the O(N^2) P-Buffer footprint, so
-    no scheme may require a PUNO-enabled config."""
+def test_paper_1024_shape():
+    """PUNO runs at 1024 nodes beside the two PUNO-free schemes: its
+    P-Buffers age without heap events, so the tier no longer has to
+    leave it out."""
     from repro.scenarios.spec import KNOWN_SCHEMES
 
     spec = get_scenario("paper-1024")
     assert spec.nodes == 1024
-    assert all(not KNOWN_SCHEMES[s] for s in spec.schemes)
+    assert spec.schemes == ("baseline", "backoff", "puno")
+    assert [s for s in spec.schemes if KNOWN_SCHEMES[s]] == ["puno"]
 
 
 def test_scale_meshes_use_computed_routing():
@@ -87,17 +89,35 @@ def test_scale_section_is_pinned():
         int(digest, 16)
 
 
-def test_cheapest_scale_cell_matches_pinned():
-    """Re-run the sub-second cell (paper-256 zipf baseline) and compare
-    its digest against the pinned section — the fast regression tooth;
+@pytest.fixture(scope="module")
+def paper_256_cells():
+    """The two sub-second paper-256 smoke cells, run once per module."""
+    return {scheme: run_scale_cell("paper-256", "zipf", scheme, 0)
+            for scheme in ("baseline", "puno")}
+
+
+def test_cheapest_scale_cell_matches_pinned(paper_256_cells):
+    """Re-run the sub-second cells (paper-256 zipf) and compare their
+    digests against the pinned section — the fast regression tooth;
     CI's scale-smoke job covers the remaining cells."""
     pinned = load_scale_golden(GOLDEN_PATH)
-    system = run_scale_cell("paper-256", "zipf", "baseline", 0)
-    assert system.stats.sanitizer_checks > 0
-    assert (system.stats.snapshot_digest()
-            == pinned["paper-256/zipf/baseline/s0"]), (
-        "paper-256 smoke digest drifted — scale-out behaviour changed; "
-        "if intentional, bless with 'repro golden --scale --update'")
+    for scheme, system in paper_256_cells.items():
+        assert system.stats.sanitizer_checks > 0
+        assert (system.stats.snapshot_digest()
+                == pinned[f"paper-256/zipf/{scheme}/s0"]), (
+            f"paper-256 {scheme} smoke digest drifted — scale-out "
+            f"behaviour changed; if intentional, bless with "
+            f"'repro golden --scale --update'")
+
+
+def test_puno_event_cost_tracks_baseline(paper_256_cells):
+    """Deterministic cost guard: P-Buffer aging schedules no events, so
+    PUNO's event count stays within 1.5x of baseline's on the same
+    256-node cell (one rollover event per directory per tick made it
+    ~20x)."""
+    events = {scheme: system.sim.events_processed
+              for scheme, system in paper_256_cells.items()}
+    assert events["puno"] <= 1.5 * events["baseline"], events
 
 
 def test_check_scale_golden_with_injected_digests():

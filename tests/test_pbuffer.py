@@ -44,6 +44,24 @@ def test_decay(pb):
     assert pb.validity(1) == 0  # floors at 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_decay_k_equals_k_single_decays(k):
+    """``decay(k)`` is ``k`` rollover timeouts in one call: it subtracts
+    ``min(v, k)`` from every counter and counts ``k`` decays."""
+    cfg = PUNOConfig(enabled=True)
+    bulk, single = PBuffer(4, cfg), PBuffer(4, cfg)
+    for p in (bulk, single):
+        p.update(1, 10)            # validity 2
+        p.update(2, 10)
+        p.update(2, 11)            # validity 3
+    bulk.decay(k)
+    for _ in range(k):
+        single.decay()
+    assert [bulk.validity(n) for n in range(4)] == \
+        [single.validity(n) for n in range(4)]
+    assert bulk.decays == single.decays == k
+
+
 def test_invalidate(pb):
     pb.update(1, 10)
     pb.invalidate(1)
