@@ -8,8 +8,8 @@ The evaluation figures (10-14) share one 8-workload x 4-scheme sweep,
 computed once per session.  The sweep fans out over
 ``REPRO_BENCH_JOBS`` worker processes (default: all cores) and goes
 through the on-disk result cache, so a re-run at the same scale/seed
-against unchanged sources replays instantly; set ``REPRO_NO_CACHE=1``
-to force fresh simulations.
+against unchanged sources replays without simulating; set
+``REPRO_NO_CACHE=1`` to force fresh simulations.
 
 Every session also appends per-bench wall seconds to
 ``benchmarks/results/timing.json`` (see ``bench_timing.py``) so perf

@@ -5,7 +5,7 @@ normalized comparison — a miniature of Figs. 10, 11 and 13.
 
 The grid fans out over worker processes (``jobs``; default all cores)
 and goes through the on-disk result cache, so a second run at the same
-scale replays instantly.  Set ``REPRO_NO_CACHE=1`` to force fresh
+scale replays from the cache without simulating.  Set ``REPRO_NO_CACHE=1`` to force fresh
 simulations.
 
 Run:  python examples/stamp_tour.py [scale] [jobs]

@@ -37,7 +37,11 @@ multi-hour sweep needs (Issue 4, Level 2):
 * **checkpointing** — completed cells are persisted to a
   :class:`SweepCheckpoint` (checksummed, content-keyed like the result
   cache), so an interrupted sweep resumed with ``--resume`` recomputes
-  only the missing cells.
+  only the missing cells;
+* **caller-side cache probe** — a cell whose result is already cached
+  is read in the calling process (one file read, no pool, no workload
+  build), keyed on the workload fingerprint a worker reported for the
+  same spec earlier in this process.
 """
 
 from __future__ import annotations
@@ -53,10 +57,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.sanitize import sanitize_enabled
 from repro.sim.config import SystemConfig
 from repro.sim.resultcache import CacheCorruption, ResultCache, \
-    cache_enabled, cached_run_workload, config_fingerprint, quarantine, \
-    read_checked_pickle, source_digest, write_checked_pickle
+    cache_enabled, cached_run_workload, cell_key, config_fingerprint, \
+    quarantine, read_checked_pickle, source_digest, workload_fingerprint, \
+    write_untraced_pickle
 from repro.sim.stats import Stats
 from repro.workloads.base import Workload
 
@@ -141,6 +147,9 @@ class TaskResult:
     stats: Stats
     wall_seconds: float
     cache_hit: bool
+    # workload_fingerprint run_task keyed the cache on ("" when the
+    # cell did not consult the cache); the caller memoizes it
+    fingerprint: str = ""
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -150,22 +159,58 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
+# repr(WorkloadSpec) -> workload_fingerprint of the workload it
+# builds, learned from the first TaskResult that hashed it.  Keyed by
+# repr, like task_key, because scenario params may be unhashable.
+_FINGERPRINTS: Dict[str, str] = {}
+
+
+def _task_cache(task: SweepTask) -> Optional[ResultCache]:
+    """The cache :func:`run_task` may serve ``task`` from, or None when
+    the cell must simulate (faults, cache off, sanitized runs)."""
+    if (task.faults or not task.use_cache or not cache_enabled()
+            or sanitize_enabled()):
+        return None
+    return ResultCache(task.cache_dir)
+
+
 def run_task(task: SweepTask) -> TaskResult:
     """Execute one cell (worker entry point; must stay module-level
     so it pickles under every multiprocessing start method)."""
     workload = task.spec.build()
     if task.faults:
         return _run_fault_task(task, workload)
-    cache: object = False
-    if task.use_cache and cache_enabled():
-        cache = ResultCache(task.cache_dir)
+    cache = _task_cache(task)
     t0 = time.perf_counter()
-    result = cached_run_workload(task.config, workload, cm=task.cm,
-                                 max_cycles=task.max_cycles,
-                                 audit=task.audit, cache=cache)
+    fingerprint = ""
+    if cache is not None:
+        key = repr(task.spec)
+        if key not in _FINGERPRINTS:
+            _FINGERPRINTS[key] = workload_fingerprint(workload)
+        fingerprint = _FINGERPRINTS[key]
+    result = cached_run_workload(
+        task.config, workload, cm=task.cm, max_cycles=task.max_cycles,
+        audit=task.audit, cache=cache if cache is not None else False,
+        fingerprint=fingerprint or None)
     wall = time.perf_counter() - t0
     return TaskResult(task.workload, task.scheme, result.stats, wall,
-                      bool(result.extras.get("cache_hit")))
+                      bool(result.extras.get("cache_hit")), fingerprint)
+
+
+def _probe(task: SweepTask) -> Optional[TaskResult]:
+    """:func:`run_task`'s cache lookup, made in the calling process
+    without building the workload: one file read when the spec's
+    fingerprint is known, None when the cell must go to the runner."""
+    fingerprint = _FINGERPRINTS.get(repr(task.spec))
+    cache = _task_cache(task) if fingerprint else None
+    if cache is None:
+        return None
+    t0 = time.perf_counter()
+    stats = cache.get(cell_key(task.config, task.cm, fingerprint))
+    if stats is None:
+        return None
+    return TaskResult(task.workload, task.scheme, stats,
+                      time.perf_counter() - t0, True, fingerprint)
 
 
 def _run_fault_task(task: SweepTask, workload: Workload) -> TaskResult:
@@ -271,8 +316,7 @@ class SweepCheckpoint:
         return result
 
     def put(self, task: SweepTask, result: TaskResult) -> None:
-        result.stats.tracer = None  # never persist tracers
-        write_checked_pickle(self._path(task), result)
+        write_untraced_pickle(self._path(task), result, result.stats)
         self.stores += 1
 
     def clear(self) -> int:
@@ -327,13 +371,14 @@ class SweepExecutionError(RuntimeError):
     crash/timeout, or a worker raised a deterministic exception."""
 
 
-def _run_one_checkpointed(task: SweepTask, cp: Optional[SweepCheckpoint],
-                          runner: Callable[[SweepTask], TaskResult]
-                          ) -> TaskResult:
-    result = runner(task)
+def _record(task: SweepTask, result: TaskResult,
+            cp: Optional[SweepCheckpoint]) -> None:
+    """Bookkeeping for one completed cell: memoize the fingerprint it
+    reports and checkpoint it."""
+    if result.fingerprint:
+        _FINGERPRINTS.setdefault(repr(task.spec), result.fingerprint)
     if cp is not None:
         cp.put(task, result)
-    return result
 
 
 def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
@@ -414,13 +459,26 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
     returned without re-running, so a resumed sweep recomputes only
     what is missing.  ``runner`` is the per-cell entry point and must
     stay a module-level function (it crosses the pickle boundary).
+
+    With the default ``runner`` each cell the checkpoint lacks is
+    first looked up in the result cache in this process, under the key
+    :func:`run_task` would use; a hit is a completed cell (``cache_hit=True``) and only
+    misses reach the runner, so a fully warm grid forks no pool.  The
+    key needs the workload fingerprint, which is learned from the
+    first result that hashed each spec: a cell whose spec no result
+    has reported yet goes to the runner.
     """
     task_list = list(tasks)
     cp = resolve_checkpoint(checkpoint)
+    probe = runner is run_task
     results: List[Optional[TaskResult]] = [None] * len(task_list)
     pending: List[int] = []
     for i, task in enumerate(task_list):
         prior = cp.get(task) if cp is not None else None
+        if prior is None and probe:
+            prior = _probe(task)
+            if prior is not None:
+                _record(task, prior, cp)
         if prior is not None:
             results[i] = prior
         else:
@@ -430,9 +488,15 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
     n = resolve_jobs(jobs)
     if n <= 1 or len(pending) <= 1:
         # in-process path: a crash here is a crash of the caller, so
-        # only checkpointing applies
+        # only checkpointing applies; a cell whose spec an earlier
+        # cell of this loop just fingerprinted is probed again
         for i in pending:
-            results[i] = _run_one_checkpointed(task_list[i], cp, runner)
+            task = task_list[i]
+            result = _probe(task) if probe else None
+            if result is None:
+                result = runner(task)
+            _record(task, result, cp)
+            results[i] = result
         return results
     attempts = dict.fromkeys(pending, 0)
     round_no = 0
@@ -444,8 +508,7 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
                                        task_timeout, runner)
         for i in sorted(completed):
             results[i] = completed[i]
-            if cp is not None:
-                cp.put(task_list[i], completed[i])
+            _record(task_list[i], completed[i], cp)
         exhausted = [i for i in sorted(failed) if attempts[i] > retries]
         if exhausted:
             details = "; ".join(

@@ -10,7 +10,9 @@ a process pool (``jobs=N``) when the workloads are given as picklable
 :class:`~repro.analysis.parallel.WorkloadSpec` descriptors, and every
 cell goes through the on-disk result cache
 (:mod:`repro.sim.resultcache`) unless ``cache=False`` — a warm cache
-replays a whole grid without running a single simulation.
+replays a whole spec grid without running a single simulation, and,
+once this process has seen each spec, without a pool or a workload
+build: one cache-file read per cell.
 """
 
 from __future__ import annotations
@@ -102,11 +104,17 @@ class SweepResult:
 class SchemeSweep:
     """Run {workload name -> Workload source} x {scheme} grids.
 
-    ``jobs`` > 1 fans the grid out over a process pool; that path
-    requires every workload to be a :class:`WorkloadSpec` (live
-    factories don't pickle).  ``cache`` accepts the usual forms
-    (True = process default, False/None = off, path or ResultCache =
-    explicit); serial and parallel paths share the same cache keys.
+    A grid of :class:`WorkloadSpec` values always runs through the
+    resilient executor (:func:`run_tasks_resilient`), in-process for
+    ``jobs=1`` and over a process pool for ``jobs`` > 1, so a warm
+    cell is read from the cache in this process without rebuilding its
+    workload.  ``jobs`` != 1 requires every workload to be a spec
+    (live factories don't pickle); a grid holding live factories runs
+    serially here.  ``cache`` accepts the usual forms (True = process
+    default, False/None = off, path or ResultCache = explicit); both
+    paths share the same cache keys.  A spec grid opens the cache by
+    its directory, so an explicit ResultCache's hit/miss counters are
+    not bumped by it, and ``REPRO_NO_CACHE`` turns it off.
 
     Execution is resilient (Issue 4): crashed workers are replaced and
     retried up to ``retries`` times, a pool making no progress for
@@ -134,17 +142,15 @@ class SchemeSweep:
     # ------------------------------------------------------------------
     def run(self, workloads: Dict[str, WorkloadSource],
             verbose: bool = False) -> SweepResult:
-        all_specs = all(isinstance(w, WorkloadSpec)
-                        for w in workloads.values())
         cp = resolve_checkpoint(self.checkpoint)
-        if self.jobs is None or self.jobs != 1 or cp is not None:
-            if not all_specs:
-                raise TypeError(
-                    "SchemeSweep(jobs!=1) needs picklable WorkloadSpec "
-                    "values, not live workload factories; pass "
-                    "repro.analysis.parallel.WorkloadSpec entries or "
-                    "use jobs=1")
-            return self._run_parallel(workloads, verbose, cp)
+        if all(isinstance(w, WorkloadSpec) for w in workloads.values()):
+            return self._run_tasks(workloads, verbose, cp)
+        if self.jobs != 1 or cp is not None:
+            raise TypeError(
+                "SchemeSweep(jobs!=1) needs picklable WorkloadSpec "
+                "values, not live workload factories; pass "
+                "repro.analysis.parallel.WorkloadSpec entries or "
+                "use jobs=1")
         return self._run_serial(workloads, verbose)
 
     # ------------------------------------------------------------------
@@ -155,10 +161,10 @@ class SchemeSweep:
             return False, None
         return True, str(resolved.root)
 
-    def _run_parallel(self, workloads: Dict[str, WorkloadSource],
-                      verbose: bool,
-                      checkpoint: Optional[SweepCheckpoint] = None
-                      ) -> SweepResult:
+    def _run_tasks(self, workloads: Dict[str, WorkloadSpec],
+                   verbose: bool,
+                   checkpoint: Optional[SweepCheckpoint] = None
+                   ) -> SweepResult:
         use_cache, cache_dir = self._cache_args()
         tasks = grid_tasks(self.schemes, workloads,
                            max_cycles=self.max_cycles, audit=self.audit,
@@ -179,6 +185,7 @@ class SchemeSweep:
 
     def _run_serial(self, workloads: Dict[str, WorkloadSource],
                     verbose: bool) -> SweepResult:
+        """A grid holding live factories (spec rows are built too)."""
         result = SweepResult()
         for wl_name, source in workloads.items():
             for scheme_name, (cm, config) in self.schemes.items():

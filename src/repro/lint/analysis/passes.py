@@ -396,11 +396,10 @@ SOA_PREFIXES = ("_ns_",)
 FOLD_HELPERS = frozenset({"_fold_type_counts", "_fold_node_stats"})
 
 #: Functions in sim/stats.py that legitimately fold (the property
-#: getters, the snapshot boundary, and pickle migration).
+#: getters, the snapshot boundary and pickling).
 FOLD_BOUNDARY_FUNCS = frozenset({
     "messages_by_type", "dir_requests", "puno_declines", "snapshot",
-    "summary", "__getstate__", "__setstate__", "_fold_type_counts",
-    "_fold_node_stats",
+    "summary", "__getstate__", "_fold_type_counts", "_fold_node_stats",
 })
 
 #: Classes whose live instances must never cross the sweep-worker
