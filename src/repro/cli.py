@@ -212,9 +212,11 @@ def cmd_run(args) -> int:
         if faults is not None:
             inj = system.fault_injector
             print(f"faults injected: {inj.summary()}", file=sys.stderr)
-    if args.trace:
-        n = tracer.write_jsonl(args.trace)
-        print(f"wrote {n} trace events to {args.trace}", file=sys.stderr)
+        # every exit writes the trace: a stalled run needs it most
+        if tracer is not None:
+            n = tracer.write_jsonl(args.trace)
+            print(f"wrote {n} trace events to {args.trace}",
+                  file=sys.stderr)
     if args.json:
         print(json.dumps(result.summary(), indent=1))
     else:

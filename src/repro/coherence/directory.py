@@ -124,11 +124,9 @@ class DirectoryController:
         # int-indexed accumulation; folds back to the same str keying
         # as messages_by_type at the snapshot boundary
         self._dir_req_counts[msg.mtype] += 1
-        if self.stats.tracer is not None:
-            self.stats.tracer.emit(
-                "dir", self.sim.now, event="service", home=self.node,
-                type=msg.mtype.name, addr=msg.addr, req=msg.requester,
-                state=entry.state.name, sharers=entry.sharers.bit_count())
+        tracer = self.stats.tracer
+        if tracer is not None:
+            tracer.record_dir(self.sim.now, self.node, msg, entry)
         if self.puno is not None:
             self.puno.observe_request(msg)
             if self.san is not None:
@@ -357,8 +355,8 @@ class DirectoryController:
         self.network.send(ack, extra_delay=self.config.directory_latency)
         # A non-sticky writeback settles the line to I with nothing
         # queued: retire the entry to the pool.  Skipped under the
-        # sanitizer — its deferred line checks must still find the
-        # entry after the event boundary.  When this PUT was drained
+        # sanitizer — its queued line checks must still find the entry
+        # when the UNBLOCK handler drains them.  When this PUT was drained
         # from an unblock loop, the loop's own retire attempt later is
         # an identity-checked no-op.
         if (self.san is None and entry.state is DirState.I
@@ -441,12 +439,20 @@ class DirectoryController:
                 if self.san is not None:
                     self.san.check_mp_feedback(self.puno, msg.mp_node)
             self.puno.after_service(entry)
-        if self.san is not None:
+        san = self.san
+        if san is not None:
             # Line state is settled here (requester installed before
-            # sending UNBLOCK); the check itself runs at the event
-            # boundary after the wait queue drains.
-            self.san.queue_line_check(self, msg.addr)
+            # sending UNBLOCK); the check itself runs once the wait
+            # queue has drained.
+            san.queue_line_check(self, msg.addr)
         self._unblock(entry)
+        if san is not None:
+            # This is the last step of both the UNBLOCK and the WB_DATA
+            # handler, each one whole heap event: the same settled
+            # point an event-boundary drain would see.  An entry that
+            # _unblock re-blocked is skipped and checked at its own
+            # UNBLOCK.
+            san.check_queued_lines()
 
     def _handle_wb_data(self, msg: Message) -> None:
         # Owner-supplied data on an M -> S downgrade.  On the mesh this

@@ -9,7 +9,7 @@ Hot-path notes
 --------------
 
 ``send`` runs once per coherence message — it is the hottest function
-in the simulator.  Four things keep it lean:
+in the simulator.  Five things keep it lean:
 
 * all per-(src, dst) route/latency/traversal quantities come from the
   precomputed :class:`repro.network.topology.Mesh` tables (flat lists
@@ -27,9 +27,11 @@ in the simulator.  Four things keep it lean:
   cancelled), so delivery costs zero intermediate Python calls;
 * the sanitizer check is hoisted out entirely: assigning ``san``
   switches the instance between the mode-selected fast send and
-  ``_send_full`` (the same shadowing trick ``engine.run`` uses for
-  ``post_event``), so unsanitized runs never test ``san is None`` per
-  message.
+  ``_send_full``, so unsanitized runs never test ``san is None`` per
+  message;
+* an attached tracer gets one positional ``record_msg`` call per
+  message (a flat tuple row, see :mod:`repro.sim.trace`), not a
+  keyword ``emit`` with the type name decoded per message.
 
 Per-pair flit accounting follows the same split: table mode uses a
 flat ``n*n`` list (dense, tiny), computed mode a dict keyed by the
@@ -158,10 +160,7 @@ class Network:
         self._msg_counts[mtype] += 1
         self.messages_sent += 1
         if stats.tracer is not None:
-            stats.tracer.emit(
-                "msg", self.sim.now, type=mtype.name, addr=msg.addr,
-                src=msg.src, dst=dst, req=msg.requester,
-                u=msg.u_bit, mp=msg.mp_bit)
+            stats.tracer.record_msg(self.sim.now, msg)
         # Inlined ``sim.call_later`` — deliveries are the dominant
         # event source, so the scheduling call is flattened into the
         # heap push itself (delays here are always non-negative ints).
@@ -197,10 +196,7 @@ class Network:
         self._msg_counts[mtype] += 1
         self.messages_sent += 1
         if stats.tracer is not None:
-            stats.tracer.emit(
-                "msg", self.sim.now, type=mtype.name, addr=msg.addr,
-                src=msg.src, dst=dst, req=msg.requester,
-                u=msg.u_bit, mp=msg.mp_bit)
+            stats.tracer.record_msg(self.sim.now, msg)
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1

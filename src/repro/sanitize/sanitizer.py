@@ -3,7 +3,7 @@
 One :class:`ProtocolSanitizer` per :class:`~repro.system.System`,
 created when sanitizing is enabled.  :meth:`attach` wires it into the
 components (each holds an optional ``san`` back-reference, ``None``
-when disabled) and installs a ``post_event`` hook on the engine.
+when disabled); the engine itself carries no hook.
 
 Check placement
 ---------------
@@ -15,10 +15,11 @@ moment the state is settled is when the UNBLOCK reaches the home
 directory: the requester installed its copy *before* sending it, every
 invalidation ACK was collected before that, and no new service has
 started (the entry is still blocked).  The directory therefore queues a
-line check there, and the engine's ``post_event`` hook drains the queue
-at the event boundary — after the UNBLOCK handler restarted any queued
-service, so a line whose entry re-blocked is skipped and re-checked at
-that service's own UNBLOCK.
+line check there and drains the queue (:meth:`check_queued_lines`) as
+the last step of its UNBLOCK and WB_DATA handlers — each one whole heap
+event, so this is the event boundary — after the handler restarted any
+queued service, so a line whose entry re-blocked is skipped and
+re-checked at that service's own UNBLOCK.
 
 Everything else (priority decisions, P-Buffer counters, TxLB
 estimates, message fields, the undo log) is pure data and is checked
@@ -30,12 +31,14 @@ travels back with the pickled Stats.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_
 from typing import List, Optional, Tuple
 
 from repro.coherence.states import DirState, L1State
 from repro.core.bitset import bit_list
 from repro.htm.conflict import Decision
-from repro.network.message import Message, field_violations
+from repro.network.message import Message, MessageType, field_violations
 from repro.sanitize.violations import SanitizerViolation
 
 
@@ -47,12 +50,17 @@ class ProtocolSanitizer:
         self.sim = system.sim
         self.stats = system.stats
         self.config = system.config
-        # (directory, addr) pairs queued at UNBLOCK, drained post-event
+        # (directory, addr) pairs queued at UNBLOCK, drained at the end
+        # of the directory's UNBLOCK/WB_DATA handler
         self._line_checks: List[Tuple[object, int]] = []
+        # per node: (node id, L1 set dicts, set count), so check_line
+        # indexes each L1 directly instead of calling lookup()
+        self._l1_sets: List[Tuple[int, list, int]] = [
+            (node.node, node.l1._sets, node.l1._num_sets)
+            for node in system.nodes]
 
     def attach(self) -> None:
         """Wire the sanitizer into every component of the system."""
-        self.sim.post_event = self._post_event
         self.system.network.san = self
         for directory in self.system.directories:
             directory.san = self
@@ -72,7 +80,9 @@ class ProtocolSanitizer:
         """Called by the directory when an UNBLOCK completes a service."""
         self._line_checks.append((directory, addr))
 
-    def _post_event(self) -> None:
+    def check_queued_lines(self) -> None:
+        """Check every queued line; called by the directory at the end
+        of its UNBLOCK and WB_DATA handlers."""
         if not self._line_checks:
             return
         pending, self._line_checks = self._line_checks, []
@@ -99,14 +109,14 @@ class ProtocolSanitizer:
                 return
         owners: List[int] = []
         sharers: List[int] = []
-        for node in self.system.nodes:
-            line = node.l1.lookup(addr, touch=False)
+        for node_id, sets, num_sets in self._l1_sets:
+            line = sets[addr % num_sets].get(addr)
             if line is None:
                 continue
-            if line.state in (L1State.E, L1State.M):
-                owners.append(node.node)
+            if line.state >= L1State.E:
+                owners.append(node_id)
             elif line.state is L1State.S:
-                sharers.append(node.node)
+                sharers.append(node_id)
         if len(owners) > 1:
             self._fail("mesi-single-owner",
                        f"multiple E/M copies at nodes {owners}", addr=addr)
@@ -255,7 +265,7 @@ class ProtocolSanitizer:
         """Section III-C: a unicast probe is never granted — the only
         legal U-bit response is a NACK."""
         self.stats.sanitizer_checks += 1
-        if msg.u_bit and msg.mtype.name != "NACK":
+        if msg.u_bit and msg.mtype is not MessageType.NACK:
             self._fail("ubit-ack",
                        f"{msg.mtype.name} response carries the U-bit "
                        f"(unicast probes must be NACKed)",
@@ -275,6 +285,13 @@ class ProtocolSanitizer:
         """Validity counters in range; no validity without a priority."""
         self.stats.sanitizer_checks += 1
         vmax = pbuffer.config.validity_max
+        validity = pbuffer._validity
+        # C-level scans; the loop below only runs to name the node
+        if (min(validity, default=0) >= 0
+                and max(validity, default=0) <= vmax
+                and not any(compress(validity, map(is_, pbuffer._priority,
+                                                   repeat(None))))):
+            return
         for n in range(pbuffer.num_nodes):
             v = pbuffer.validity(n)
             if not 0 <= v <= vmax:
@@ -311,6 +328,12 @@ class ProtocolSanitizer:
     def check_message(self, msg: Message) -> None:
         """Field/type combinations per the Fig. 7 protocol extensions."""
         self.stats.sanitizer_checks += 1
+        # Common case: no extension field set and a sane ack count, so
+        # field_violations could find nothing to report.
+        if not (msg.u_bit or msg.t_est >= 0 or msg.mp_bit
+                or msg.mp_node >= 0 or msg.sticky or msg.committing
+                or msg.survivors or msg.aborted or msg.acks_expected < 0):
+            return
         problems = field_violations(msg)
         if problems:
             self._fail("message-fields",

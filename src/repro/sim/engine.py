@@ -107,7 +107,7 @@ class Simulator:
     """Binary-heap event loop with an integer cycle clock."""
 
     __slots__ = ("now", "_heap", "_seq", "_running", "events_processed",
-                 "_live", "_cancelled_in_heap", "post_event")
+                 "_live", "_cancelled_in_heap")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -122,10 +122,6 @@ class Simulator:
         # the heap are tracked separately to drive lazy compaction.
         self._live: int = 0
         self._cancelled_in_heap: int = 0
-        # Optional hook invoked after every executed event (the event
-        # boundary).  Installed by the protocol sanitizer; None (the
-        # default) costs one local None-check per event in the hot loop.
-        self.post_event: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -216,7 +212,6 @@ class Simulator:
         try:
             heap = self._heap  # identity-stable: _purge compacts in place
             pop = heapq.heappop
-            post = self.post_event
             if until is None and max_events is None:
                 # Unbounded drain (the common full-run case): pop
                 # directly — no peek, no limit checks per event.  The
@@ -237,8 +232,6 @@ class Simulator:
                     self._live -= 1
                     self.events_processed += 1
                     item[3](*item[4])
-                    if post is not None:
-                        post()
                 return self.now
             budget = _NO_BUDGET if max_events is None else max_events
             while heap:
@@ -273,8 +266,6 @@ class Simulator:
                     self._live -= 1
                     self.events_processed += 1
                     item[3](*item[4])
-                    if post is not None:
-                        post()
             else:
                 if until is not None and until > self.now:
                     self.now = until

@@ -5,7 +5,7 @@ simulator's hook points:
 
 * ``msg`` — every coherence message injected into the network,
 * ``tx`` — transaction lifecycle (begin / commit / abort),
-* ``dir`` — directory services and unblocks,
+* ``dir`` — directory services,
 * ``puno`` — unicast predictions and misprediction feedback.
 
 Attach one via ``System(config, workload, cm, trace=Tracer(...))`` (or
@@ -15,6 +15,27 @@ disabled.
 
 Events are held in memory (optionally bounded) and can be rendered as
 text or written as JSON lines for external tooling.
+
+Storage
+-------
+
+``msg`` and ``dir`` records are ~90% of a traced run, so the network
+and the directory hand them to positional recorders
+(:meth:`Tracer.record_msg`, :meth:`Tracer.record_dir`) that append one
+flat tuple of ints and bools per record — message type and directory
+state as their int codes, no field dict, nothing that references the
+mutable ``Message`` or a pooled directory entry.  Tuples of atomic
+values drop out of the garbage collector's tracking.  Everything else
+goes through :meth:`Tracer.emit` and is stored as a
+:class:`TraceEvent` with its field dict.
+
+:attr:`Tracer.events` is a read-only sequence view over the stored
+rows.  ``len()`` is O(1) and never materializes anything; indexing,
+slicing and iteration build :class:`TraceEvent` objects on demand, with
+names decoded and fields in the same key order ``emit`` would have
+given them, so every reader (:meth:`~Tracer.filter`,
+:meth:`~Tracer.write_jsonl`, ...) sees exactly what a per-record
+``emit`` would have stored.
 
 JSONL schema
 ------------
@@ -52,7 +73,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, \
+    Union
+
+from repro.coherence.states import DirState
+from repro.network.message import MSG_TYPE_NAMES
 
 CATEGORIES = ("msg", "tx", "dir", "puno")
 
@@ -73,6 +99,53 @@ class TraceEvent:
         return f"[{self.time:>8}] {self.category:<4} {kv}"
 
 
+# A stored row is either a TraceEvent (``emit``) or one of these flat
+# tuples, tagged by category:
+#   ("msg", t, type_code, addr, src, dst, req, u, mp)
+#   ("dir", t, home, type_code, addr, req, state_code, sharers)
+Row = Union[TraceEvent, Tuple]
+
+
+def _materialize(row: Row) -> TraceEvent:
+    """The TraceEvent a row stands for (decoded on every call)."""
+    if row.__class__ is TraceEvent:
+        return row
+    if row[0] == "msg":
+        _, t, code, addr, src, dst, req, u, mp = row
+        return TraceEvent(t, "msg", {
+            "type": MSG_TYPE_NAMES[code], "addr": addr, "src": src,
+            "dst": dst, "req": req, "u": u, "mp": mp})
+    _, t, home, code, addr, req, state, sharers = row
+    return TraceEvent(t, "dir", {
+        "event": "service", "home": home, "type": MSG_TYPE_NAMES[code],
+        "addr": addr, "req": req, "state": DirState(state).name,
+        "sharers": sharers})
+
+
+class TraceEvents(Sequence):
+    """Read-only view of a tracer's records as TraceEvent objects.
+
+    ``len()`` is O(1); items are materialized on access, so hold on to
+    the returned events rather than re-indexing in a loop.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_materialize(row) for row in self._rows[index]]
+        return _materialize(self._rows[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(_materialize, self._rows)
+
+
 class Tracer:
     """Event collector with category filtering and an optional bound."""
 
@@ -85,13 +158,26 @@ class Tracer:
                              f"choices: {CATEGORIES}")
         self.categories: Set[str] = cats
         self.limit = limit
-        self.events: List[TraceEvent] = []
+        self._rows: List[Row] = []
         self.dropped = 0
         self.counts: Counter = Counter()
+
+    @property
+    def events(self) -> TraceEvents:
+        return TraceEvents(self._rows)
 
     # ------------------------------------------------------------------
     def enabled(self, category: str) -> bool:
         return category in self.categories
+
+    def _keep(self, category: str) -> bool:
+        """Count a record of an enabled ``category``; False when the
+        bound drops it."""
+        self.counts[category] += 1
+        if self.limit is not None and len(self._rows) >= self.limit:
+            self.dropped += 1
+            return False
+        return True
 
     def emit(self, category: str, time: int, **fields) -> None:
         if category not in self.categories:
@@ -99,11 +185,26 @@ class Tracer:
         if "t" in fields or "cat" in fields:
             raise ValueError("'t' and 'cat' are reserved envelope keys "
                              "in the JSONL schema")
-        self.counts[category] += 1
-        if self.limit is not None and len(self.events) >= self.limit:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(time, category, fields))
+        if self._keep(category):
+            self._rows.append(TraceEvent(time, category, fields))
+
+    def record_msg(self, time: int, msg) -> None:
+        """The ``msg`` record of injecting ``msg``: the event
+        ``emit("msg", time, type=, addr=, src=, dst=, req=, u=, mp=)``
+        would store."""
+        if "msg" in self.categories and self._keep("msg"):
+            self._rows.append((
+                "msg", time, msg.mtype._value_, msg.addr, msg.src, msg.dst,
+                msg.requester, msg.u_bit, msg.mp_bit))
+
+    def record_dir(self, time: int, home: int, msg, entry) -> None:
+        """The ``dir`` record of directory ``home`` starting to serve
+        ``msg`` on ``entry`` (state and sharer count read now)."""
+        if "dir" in self.categories and self._keep("dir"):
+            self._rows.append((
+                "dir", time, home, msg.mtype._value_, msg.addr,
+                msg.requester, entry.state._value_,
+                entry.sharers.bit_count()))
 
     # ------------------------------------------------------------------
     def filter(self, category: Optional[str] = None,
@@ -134,7 +235,7 @@ class Tracer:
         with open(path, "w") as fh:
             for ev in self.events:
                 fh.write(json.dumps(ev.as_dict()) + "\n")
-        return len(self.events)
+        return len(self._rows)
 
     @classmethod
     def from_jsonl(cls, path) -> "Tracer":
@@ -148,15 +249,16 @@ class Tracer:
         t = cls()
         for ev in read_jsonl(path):
             t.counts[ev.category] += 1
-            t.events.append(ev)
+            t._rows.append(ev)
         return t
 
     # ------------------------------------------------------------------
     def conflict_chains(self) -> List[Tuple[int, Dict]]:
         """Abort events with their recorded causes — a quick view of
         who killed whom."""
-        return [(ev.time, ev.fields) for ev in self.events
-                if ev.category == "tx"
+        # only emit() stores tx records, as TraceEvents
+        return [(ev.time, ev.fields) for ev in self._rows
+                if ev.__class__ is TraceEvent and ev.category == "tx"
                 and ev.fields.get("event") == "abort"]
 
 

@@ -347,3 +347,19 @@ def test_golden_tournament_update_then_drift_is_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["golden", "--tournament", "--file", str(path)]) == 1
     assert "MISMATCH intruder/lazy" in capsys.readouterr().out
+
+
+def test_run_trace_written_when_the_run_stalls(tmp_path, capsys):
+    """A watchdog-detected stall still writes the --trace file."""
+    from repro.sim.trace import read_jsonl
+    trace_file = tmp_path / "stall.jsonl"
+    rc = main(["run", "synthetic", "--nodes", "4", "--instances", "6",
+               "--shared-lines", "8", "--faults", "drop=0.3,seed=1",
+               "--trace", str(trace_file)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "stall detected" in err
+    events = read_jsonl(trace_file)
+    assert events
+    assert f"wrote {len(events)} trace events" in err
+    assert {ev.category for ev in events} >= {"msg", "tx"}
