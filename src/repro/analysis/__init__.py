@@ -22,7 +22,6 @@ from repro.analysis.falseabort import (
     victim_distribution,
 )
 from repro.analysis.parallel import (
-    SweepCheckpoint,
     SweepExecutionError,
     SweepTask,
     TaskResult,
@@ -36,7 +35,6 @@ from repro.analysis.sweep import SchemeSweep, SweepResult
 from repro.analysis import experiments
 
 __all__ = [
-    "SweepCheckpoint",
     "SweepExecutionError",
     "SweepTask",
     "TaskResult",

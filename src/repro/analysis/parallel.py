@@ -20,7 +20,7 @@ Resilient execution
 -------------------
 
 :func:`run_tasks_resilient` adds the orchestration-level robustness a
-multi-hour sweep needs (Issue 4, Level 2):
+multi-hour sweep needs (DESIGN.md, "Level 2"):
 
 * **crashed-worker replacement** — workers run under a
   ``concurrent.futures.ProcessPoolExecutor`` (which detects worker
@@ -34,10 +34,9 @@ multi-hour sweep needs (Issue 4, Level 2):
 * **progress timeouts** — if no task completes for ``task_timeout``
   seconds the whole pool is considered stuck, its processes are
   terminated, and the unfinished cells retried;
-* **checkpointing** — completed cells are persisted to a
-  :class:`SweepCheckpoint` (checksummed, content-keyed like the result
-  cache), so an interrupted sweep resumed with ``--resume`` recomputes
-  only the missing cells;
+* **resume by rerunning** — each worker stores its cell in the result
+  cache as soon as it finishes, so rerunning an interrupted sweep
+  simulates only the cells the cache lacks;
 * **caller-side cache probe** — a cell whose result is already cached
   is read in the calling process (one file read, no pool, no workload
   build), keyed on the workload fingerprint a worker reported for the
@@ -46,7 +45,6 @@ multi-hour sweep needs (Issue 4, Level 2):
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import time
@@ -54,22 +52,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sanitize import sanitize_enabled
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import CacheCorruption, ResultCache, \
-    cache_enabled, cached_run_workload, cell_key, config_fingerprint, \
-    quarantine, read_checked_pickle, source_digest, workload_fingerprint, \
-    write_untraced_pickle
+from repro.sim.resultcache import ResultCache, cache_enabled, \
+    cached_run_workload, cell_key, workload_fingerprint
 from repro.sim.stats import Stats
 from repro.workloads.base import Workload
-
-# Sweep checkpoint directory; set (e.g. by ``--resume``) so nested
-# sweep constructions — the experiment harnesses build their own
-# SchemeSweep objects — pick up checkpointing without plumbing.
-ENV_CHECKPOINT = "REPRO_SWEEP_CHECKPOINT"
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 # repr(WorkloadSpec) -> workload_fingerprint of the workload it
 # builds, learned from the first TaskResult that hashed it.  Keyed by
-# repr, like task_key, because scenario params may be unhashable.
+# repr because scenario params may be unhashable.
 _FINGERPRINTS: Dict[str, str] = {}
 
 
@@ -260,109 +250,6 @@ def run_tasks(tasks: Iterable[SweepTask],
 
 
 # ---------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------
-
-def task_key(task: SweepTask) -> str:
-    """Content address of one sweep cell for checkpointing.
-
-    Includes the package-source digest, so a checkpoint directory can
-    never resume stale results across a code change — the same
-    self-invalidation contract as the result cache.
-    """
-    h = hashlib.sha256()
-    h.update(source_digest().encode())
-    h.update(task.workload.encode())
-    h.update(task.scheme.encode())
-    h.update(task.cm.encode())
-    h.update(config_fingerprint(task.config).encode())
-    h.update(repr(task.spec).encode())
-    h.update(repr((task.max_cycles, task.audit, task.faults)).encode())
-    return h.hexdigest()
-
-
-class SweepCheckpoint:
-    """Per-cell persistent store of completed :class:`TaskResult`.
-
-    Entries share the checksummed on-disk format of the result cache:
-    corrupt/truncated entries are quarantined to ``*.corrupt`` and
-    treated as missing, never raised mid-sweep.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.hits = 0
-        self.stores = 0
-        self.quarantined = 0
-
-    def _path(self, task: SweepTask) -> Path:
-        return self.root / f"{task_key(task)}.pkl"
-
-    def get(self, task: SweepTask) -> Optional[TaskResult]:
-        path = self._path(task)
-        try:
-            result = read_checked_pickle(path)
-        except FileNotFoundError:
-            return None
-        except CacheCorruption:
-            quarantine(path)
-            self.quarantined += 1
-            return None
-        if not isinstance(result, TaskResult):
-            quarantine(path)
-            self.quarantined += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, task: SweepTask, result: TaskResult) -> None:
-        write_untraced_pickle(self._path(task), result, result.stats)
-        self.stores += 1
-
-    def clear(self) -> int:
-        n = 0
-        if self.root.is_dir():
-            for p in self.root.glob("*.pkl"):
-                try:
-                    p.unlink()
-                    n += 1
-                except OSError:
-                    continue
-        return n
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SweepCheckpoint({str(self.root)!r}, hits={self.hits}, "
-                f"stores={self.stores}, quarantined={self.quarantined})")
-
-
-def default_checkpoint() -> Optional[SweepCheckpoint]:
-    """The env-configured checkpoint store, or None when unset."""
-    root = os.environ.get(ENV_CHECKPOINT, "")
-    if not root:
-        return None
-    return SweepCheckpoint(root)
-
-
-def resolve_checkpoint(checkpoint) -> Optional[SweepCheckpoint]:
-    """Normalize the ``checkpoint=`` argument: an explicit
-    :class:`SweepCheckpoint` or path is used as-is, ``None`` defers to
-    the ``REPRO_SWEEP_CHECKPOINT`` environment variable, ``False``
-    disables checkpointing unconditionally."""
-    if isinstance(checkpoint, SweepCheckpoint):
-        return checkpoint
-    if checkpoint is False:
-        return None
-    if checkpoint is None:
-        return default_checkpoint()
-    return SweepCheckpoint(checkpoint)
-
-
-# ---------------------------------------------------------------------
 # resilient execution
 # ---------------------------------------------------------------------
 
@@ -371,14 +258,10 @@ class SweepExecutionError(RuntimeError):
     crash/timeout, or a worker raised a deterministic exception."""
 
 
-def _record(task: SweepTask, result: TaskResult,
-            cp: Optional[SweepCheckpoint]) -> None:
-    """Bookkeeping for one completed cell: memoize the fingerprint it
-    reports and checkpoint it."""
+def _record(task: SweepTask, result: TaskResult) -> None:
+    """Memoize the workload fingerprint a completed cell reports."""
     if result.fingerprint:
         _FINGERPRINTS.setdefault(repr(task.spec), result.fingerprint)
-    if cp is not None:
-        cp.put(task, result)
 
 
 def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
@@ -443,42 +326,33 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
                         task_timeout: Optional[float] = None,
                         backoff_base: float = 0.25,
                         backoff_cap: float = 8.0,
-                        checkpoint=None,
                         runner: Callable[[SweepTask], TaskResult] = run_task
                         ) -> List[TaskResult]:
-    """:func:`run_tasks` with crash replacement, bounded retry and
-    checkpointing.  Results come back in input order, exactly like the
-    plain runner.
+    """:func:`run_tasks` with crash replacement and bounded retry.
+    Results come back in input order, exactly like the plain runner.
 
     Crashed workers and stuck pools are retried up to ``retries``
     times with exponential backoff (``backoff_base * 2**round``,
     capped); exhaustion raises :class:`SweepExecutionError` naming the
-    failed cells.  ``checkpoint`` accepts a :class:`SweepCheckpoint`,
-    a directory path, ``False`` (off) or ``None`` (defer to
-    ``REPRO_SWEEP_CHECKPOINT``); previously checkpointed cells are
-    returned without re-running, so a resumed sweep recomputes only
-    what is missing.  ``runner`` is the per-cell entry point and must
+    failed cells.  ``runner`` is the per-cell entry point and must
     stay a module-level function (it crosses the pickle boundary).
 
-    With the default ``runner`` each cell the checkpoint lacks is
-    first looked up in the result cache in this process, under the key
-    :func:`run_task` would use; a hit is a completed cell (``cache_hit=True``) and only
-    misses reach the runner, so a fully warm grid forks no pool.  The
-    key needs the workload fingerprint, which is learned from the
-    first result that hashed each spec: a cell whose spec no result
-    has reported yet goes to the runner.
+    With the default ``runner`` each cell is first looked up in the
+    result cache in this process, under the key :func:`run_task` would
+    use; a hit is a completed cell (``cache_hit=True``) and only misses
+    reach the runner, so a fully warm grid forks no pool.  The key
+    needs the workload fingerprint, which is learned from the first
+    result that hashed each spec: a cell whose spec no result has
+    reported yet goes to the runner.  Workers store each cell in the
+    cache as it finishes, so rerunning an interrupted sweep simulates
+    only the cells the cache lacks.
     """
     task_list = list(tasks)
-    cp = resolve_checkpoint(checkpoint)
     probe = runner is run_task
     results: List[Optional[TaskResult]] = [None] * len(task_list)
     pending: List[int] = []
     for i, task in enumerate(task_list):
-        prior = cp.get(task) if cp is not None else None
-        if prior is None and probe:
-            prior = _probe(task)
-            if prior is not None:
-                _record(task, prior, cp)
+        prior = _probe(task) if probe else None
         if prior is not None:
             results[i] = prior
         else:
@@ -487,15 +361,15 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
         return results
     n = resolve_jobs(jobs)
     if n <= 1 or len(pending) <= 1:
-        # in-process path: a crash here is a crash of the caller, so
-        # only checkpointing applies; a cell whose spec an earlier
-        # cell of this loop just fingerprinted is probed again
+        # in-process path: a crash here is a crash of the caller; a
+        # cell whose spec an earlier cell of this loop just
+        # fingerprinted is probed again
         for i in pending:
             task = task_list[i]
             result = _probe(task) if probe else None
             if result is None:
                 result = runner(task)
-            _record(task, result, cp)
+            _record(task, result)
             results[i] = result
         return results
     attempts = dict.fromkeys(pending, 0)
@@ -508,7 +382,7 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
                                        task_timeout, runner)
         for i in sorted(completed):
             results[i] = completed[i]
-            _record(task_list[i], completed[i], cp)
+            _record(task_list[i], completed[i])
         exhausted = [i for i in sorted(failed) if attempts[i] > retries]
         if exhausted:
             details = "; ".join(

@@ -12,7 +12,8 @@ cell goes through the on-disk result cache
 (:mod:`repro.sim.resultcache`) unless ``cache=False`` — a warm cache
 replays a whole spec grid without running a single simulation, and,
 once this process has seen each spec, without a pool or a workload
-build: one cache-file read per cell.
+build: one cache-file read per cell.  Each finished cell is stored as
+it completes, so rerunning an interrupted sweep resumes it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.analysis.metrics import METRICS, MetricTable
-from repro.analysis.parallel import SweepCheckpoint, WorkloadSpec, \
-    grid_tasks, resolve_checkpoint, run_tasks_resilient
+from repro.analysis.parallel import WorkloadSpec, grid_tasks, \
+    run_tasks_resilient
 from repro.sim.config import SystemConfig
 from repro.sim.resultcache import CacheLike, cached_run_workload, \
     resolve_cache
@@ -116,20 +117,17 @@ class SchemeSweep:
     its directory, so an explicit ResultCache's hit/miss counters are
     not bumped by it, and ``REPRO_NO_CACHE`` turns it off.
 
-    Execution is resilient (Issue 4): crashed workers are replaced and
-    retried up to ``retries`` times, a pool making no progress for
-    ``task_timeout`` seconds is recycled, and ``checkpoint`` (a
-    :class:`SweepCheckpoint`, a path, ``False`` = off, or ``None`` =
-    defer to ``REPRO_SWEEP_CHECKPOINT``) persists completed cells so
-    an interrupted sweep resumes instead of restarting.
+    Execution is resilient: crashed workers are replaced and retried
+    up to ``retries`` times, and a pool making no progress for
+    ``task_timeout`` seconds is recycled.  An interrupted sweep resumes
+    by rerunning it: every cell that finished is in the cache.
     """
 
     def __init__(self, schemes: Optional[Dict[str, Scheme]] = None,
                  max_cycles: Optional[int] = 200_000_000,
                  audit: bool = True, jobs: int = 1,
                  cache: CacheLike = True, retries: int = 2,
-                 task_timeout: Optional[float] = None,
-                 checkpoint=None):
+                 task_timeout: Optional[float] = None):
         self.schemes = schemes if schemes is not None else paper_schemes()
         self.max_cycles = max_cycles
         self.audit = audit
@@ -137,15 +135,13 @@ class SchemeSweep:
         self.cache = cache
         self.retries = retries
         self.task_timeout = task_timeout
-        self.checkpoint = checkpoint
 
     # ------------------------------------------------------------------
     def run(self, workloads: Dict[str, WorkloadSource],
             verbose: bool = False) -> SweepResult:
-        cp = resolve_checkpoint(self.checkpoint)
         if all(isinstance(w, WorkloadSpec) for w in workloads.values()):
-            return self._run_tasks(workloads, verbose, cp)
-        if self.jobs != 1 or cp is not None:
+            return self._run_tasks(workloads, verbose)
+        if self.jobs != 1:
             raise TypeError(
                 "SchemeSweep(jobs!=1) needs picklable WorkloadSpec "
                 "values, not live workload factories; pass "
@@ -162,9 +158,7 @@ class SchemeSweep:
         return True, str(resolved.root)
 
     def _run_tasks(self, workloads: Dict[str, WorkloadSpec],
-                   verbose: bool,
-                   checkpoint: Optional[SweepCheckpoint] = None
-                   ) -> SweepResult:
+                   verbose: bool) -> SweepResult:
         use_cache, cache_dir = self._cache_args()
         tasks = grid_tasks(self.schemes, workloads,
                            max_cycles=self.max_cycles, audit=self.audit,
@@ -172,8 +166,7 @@ class SchemeSweep:
         result = SweepResult()
         for tr in run_tasks_resilient(
                 tasks, self.jobs, retries=self.retries,
-                task_timeout=self.task_timeout,
-                checkpoint=checkpoint if checkpoint is not None else False):
+                task_timeout=self.task_timeout):
             result.add(tr.workload, tr.scheme, tr.stats)
             if verbose:
                 hit = " [cached]" if tr.cache_hit else ""

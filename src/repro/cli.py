@@ -28,9 +28,10 @@ Commands:
 
 ``run``/``compare``/``experiment`` accept ``--sanitize`` to enable the
 dynamic protocol sanitizer (equivalent to ``REPRO_SANITIZE=1``).
-``compare``/``experiment`` accept ``--resume`` to checkpoint completed
-sweep cells on disk (``REPRO_SWEEP_CHECKPOINT``) so an interrupted
-grid picks up where it left off.
+``compare``/``experiment``/``scenario``/``tournament`` store each
+finished sweep cell in the result cache, so an interrupted grid picks
+up where it left off when rerun (unless ``--no-cache`` or
+``--sanitize``).
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ def _apply_sanitize_flag(args) -> None:
     import os
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"
-
-
-def _apply_resume_flag(args) -> None:
-    """``--resume`` turns on sweep checkpointing for the process (the
-    same ``REPRO_SWEEP_CHECKPOINT`` env var the sweeps consult), so
-    completed cells persist and a rerun only computes missing ones."""
-    import os
-    if getattr(args, "resume", False):
-        os.environ["REPRO_SWEEP_CHECKPOINT"] = args.checkpoint_dir
 
 
 def _make_faults(args):
@@ -248,7 +240,6 @@ def cmd_compare(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.analysis.sweep import SchemeSweep
     sweep = SchemeSweep(
         {s: (s, _make_config(args, s)) for s in schemes},
@@ -278,7 +269,6 @@ def cmd_experiment(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     result = fn(args)
     print(result.text)
     return 0
@@ -350,7 +340,6 @@ def cmd_scenario(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.scenarios import run_scenario
     rc = 0
     for name in args.names:
@@ -384,7 +373,6 @@ def cmd_tournament(args) -> int:
         schemes.insert(0, "puno")  # the normalization base
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.schemes.tournament import run_tournament
     result = run_tournament(smoke=args.smoke, jobs=args.jobs,
                             schemes=tuple(schemes),
@@ -638,13 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache "
                              "(same as REPRO_NO_CACHE=1)")
-        sp.add_argument("--resume", action="store_true",
-                        help="checkpoint completed sweep cells so an "
-                             "interrupted grid resumes (same as "
-                             "REPRO_SWEEP_CHECKPOINT=<dir>)")
-        sp.add_argument("--checkpoint-dir",
-                        default=".repro-sweep-checkpoint",
-                        help="where --resume stores completed cells")
 
     cmp_p = sub.add_parser("compare", help="compare schemes")
     common(cmp_p)

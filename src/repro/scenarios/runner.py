@@ -5,10 +5,11 @@ workload x scheme x seed grid of picklable
 :class:`~repro.analysis.parallel.SweepTask` descriptors and executes
 them through the resilient sweep executor — the same machinery the
 paper experiments use, so scenario runs get process-pool fan-out,
-crashed-worker replacement, the content-addressed result cache and
-checkpoint resume for free.  Cells are ordered workload-major, then
-scheme, then seed; the executor returns results in input order, so a
-parallel run is bit-identical to a serial one.
+crashed-worker replacement and the content-addressed result cache for
+free; rerunning an interrupted scenario simulates only the cells the
+cache lacks.  Cells are ordered workload-major, then scheme, then
+seed; the executor returns results in input order, so a parallel run
+is bit-identical to a serial one.
 
 A :class:`ScenarioResult` holds one
 :class:`~repro.analysis.parallel.TaskResult` per cell and can render a
@@ -186,7 +187,6 @@ def run_scenario(spec: ScenarioSpec,
                  smoke: bool = False,
                  jobs: int = 1,
                  cache: object = True,
-                 checkpoint: object = None,
                  retries: int = 2,
                  task_timeout: Optional[float] = None,
                  max_cycles: Optional[int] = None,
@@ -194,10 +194,9 @@ def run_scenario(spec: ScenarioSpec,
     """Execute one scenario's full matrix and return every cell.
 
     ``smoke=True`` runs the scaled-down :meth:`ScenarioSpec.smoke`
-    variant.  ``jobs``/``cache``/``checkpoint``/``retries``/
-    ``task_timeout`` are passed straight to the resilient sweep
-    executor, so a scenario run inherits process-pool fan-out, the
-    on-disk result cache and checkpoint resume.
+    variant.  ``jobs``/``cache``/``retries``/``task_timeout`` are
+    passed straight to the resilient sweep executor, so a scenario run
+    inherits process-pool fan-out and the on-disk result cache.
     """
     problems = spec.validate()
     if problems:
@@ -207,8 +206,7 @@ def run_scenario(spec: ScenarioSpec,
         spec = spec.smoke()
     tasks = scenario_tasks(spec, cache=cache, max_cycles=max_cycles)
     results = run_tasks_resilient(
-        tasks, jobs, retries=retries, task_timeout=task_timeout,
-        checkpoint=checkpoint)
+        tasks, jobs, retries=retries, task_timeout=task_timeout)
     out = ScenarioResult(spec, scenario_cells(spec), results)
     if verbose:
         for (wl, scheme, seed), r in zip(out.cells, out.results):

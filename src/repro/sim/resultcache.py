@@ -60,7 +60,7 @@ _DIGEST_LEN = 64  # hex sha256
 
 
 class CacheCorruption(Exception):
-    """A cache/checkpoint entry failed its integrity check."""
+    """A cache entry failed its integrity check."""
 
 
 def cache_enabled() -> bool:
@@ -138,7 +138,13 @@ def workload_fingerprint(workload: Workload) -> str:
 
 def cell_key(config: SystemConfig, cm: str, fingerprint: str) -> str:
     """The content address of one simulation cell whose workload has
-    :func:`workload_fingerprint` ``fingerprint``."""
+    :func:`workload_fingerprint` ``fingerprint``.
+
+    The run's ``max_cycles`` budget and ``audit`` flag are left out on
+    purpose: both only ever raise (a budget overrun, a failed audit)
+    and never change a completed run's Stats, and a run that raises is
+    never stored.  So a cell finished under one budget or audit setting
+    is a valid answer under any other."""
     from repro import __version__
     h = hashlib.sha256()
     h.update(__version__.encode())
@@ -155,7 +161,7 @@ def cache_key(config: SystemConfig, workload: Workload, cm: str) -> str:
 
 
 # ---------------------------------------------------------------------
-# checksummed pickle I/O (shared with the sweep checkpoint store)
+# checksummed pickle I/O
 # ---------------------------------------------------------------------
 
 def write_checked_pickle(path: Path, obj: object) -> None:
@@ -177,17 +183,6 @@ def write_checked_pickle(path: Path, obj: object) -> None:
         except OSError:
             pass
         raise
-
-
-def write_untraced_pickle(path: Path, obj: object, stats: Stats) -> None:
-    """:func:`write_checked_pickle` of ``obj`` with ``stats.tracer``
-    (the Stats ``obj`` is or holds) detached for the write only:
-    tracers are never persisted, and the caller keeps its own."""
-    tracer, stats.tracer = stats.tracer, None
-    try:
-        write_checked_pickle(path, obj)
-    finally:
-        stats.tracer = tracer
 
 
 def read_checked_pickle(path: Path) -> object:
@@ -274,8 +269,14 @@ class ResultCache:
         return stats
 
     def put(self, key: str, stats: Stats) -> None:
-        """Atomically store ``stats`` under ``key`` (checksummed)."""
-        write_untraced_pickle(self._path(key), stats, stats)
+        """Atomically store ``stats`` under ``key`` (checksummed).
+        ``stats.tracer`` is detached for the write only: tracers are
+        never persisted, and the caller keeps its own."""
+        tracer, stats.tracer = stats.tracer, None
+        try:
+            write_checked_pickle(self._path(key), stats)
+        finally:
+            stats.tracer = tracer
         self.stores += 1
 
     def clear(self) -> int:

@@ -45,6 +45,35 @@ def cfg16() -> SystemConfig:
 from repro.testing import RecordingNetwork  # noqa: F401  (fixture dep)
 
 
+# ---------------------------------------------------------------------
+# sweep executor state
+# ---------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """No learned workload fingerprints, as in a fresh process, and
+    the cache and sanitizer switches at their defaults."""
+    import repro.analysis.parallel as parallel
+    monkeypatch.setattr(parallel, "_FINGERPRINTS", {})
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts WorkloadSpec.build calls in this process."""
+    from repro.analysis.parallel import WorkloadSpec
+    calls = []
+    real = WorkloadSpec.build
+
+    def counting(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(WorkloadSpec, "build", counting)
+    return calls
+
+
 @pytest.fixture
 def recording_network(sim):
     stats = Stats(4)

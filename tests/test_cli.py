@@ -168,43 +168,12 @@ def test_chaos_unknown_workload_is_usage_error(capsys):
     assert rc == 2
 
 
-# ---------------------------------------------------------------------
-# --resume plumbing
-# ---------------------------------------------------------------------
-
-def _guard_checkpoint_env(monkeypatch):
-    """Register the process-wide flags with monkeypatch *before* the
-    code under test sets them via os.environ directly, so teardown
-    removes whatever _apply_resume_flag/_apply_cache_flag leave
-    behind."""
-    for name in ("REPRO_SWEEP_CHECKPOINT", "REPRO_NO_CACHE"):
-        monkeypatch.setenv(name, "guard")
-        monkeypatch.delenv(name)
-
-
-def test_resume_flag_sets_checkpoint_env(tmp_path, monkeypatch):
-    import os
-    from argparse import Namespace
-
-    from repro.cli import _apply_resume_flag
-
-    _guard_checkpoint_env(monkeypatch)
-    _apply_resume_flag(Namespace(resume=False))
-    assert "REPRO_SWEEP_CHECKPOINT" not in os.environ
-
-    cp_dir = tmp_path / "cp"
-    _apply_resume_flag(Namespace(resume=True, checkpoint_dir=str(cp_dir)))
-    assert os.environ["REPRO_SWEEP_CHECKPOINT"] == str(cp_dir)
-
-
-def test_compare_resume_populates_checkpoint(tmp_path, monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
-    monkeypatch.chdir(tmp_path)
-    rc = main(["compare", "kmeans", "--nodes", "4", "--scale", "0.1",
-               "--schemes", "baseline,puno", "--no-cache", "--resume"])
-    assert rc == 0
-    cp_dir = tmp_path / ".repro-sweep-checkpoint"
-    assert len(list(cp_dir.glob("*.pkl"))) == 2  # one per scheme
+def _guard_no_cache_env(monkeypatch):
+    """Register ``REPRO_NO_CACHE`` with monkeypatch *before* the code
+    under test sets it via os.environ directly (``--no-cache``), so
+    teardown removes whatever _apply_cache_flag leaves behind."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "guard")
+    monkeypatch.delenv("REPRO_NO_CACHE")
 
 
 # ---------------------------------------------------------------------
@@ -240,7 +209,7 @@ def test_scenario_run_requires_name(capsys):
 
 
 def test_scenario_run_smoke(tmp_path, monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_no_cache_env(monkeypatch)
     rc = main(["scenario", "run", "prodcons-32", "--smoke", "--no-cache",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -253,7 +222,7 @@ def test_scenario_run_smoke(tmp_path, monkeypatch, capsys):
 
 
 def test_scenario_run_json(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_no_cache_env(monkeypatch)
     rc = main(["scenario", "run", "prodcons-32", "--smoke", "--no-cache",
                "--json"])
     assert rc == 0
@@ -293,7 +262,7 @@ def test_golden_update_then_check(tmp_path, capsys):
 # ---------------------------------------------------------------------
 
 def test_tournament_smoke_table(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_no_cache_env(monkeypatch)
     rc = main(["tournament", "--smoke", "--no-cache",
                "--schemes", "baseline"])
     assert rc == 0
@@ -303,7 +272,7 @@ def test_tournament_smoke_table(monkeypatch, capsys):
 
 
 def test_tournament_json_payload(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_no_cache_env(monkeypatch)
     rc = main(["tournament", "--smoke", "--no-cache", "--json",
                "--schemes", "phase-priority,adaptive-requeue"])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Parallel sweep execution: serial/parallel equivalence, determinism,
 task descriptors, the resilient executor (crash replacement, timeouts,
-checkpoint/resume), and the strict (non-ragged) SweepResult grid."""
+resume by rerunning against the result cache), and the strict
+(non-ragged) SweepResult grid."""
 
 from __future__ import annotations
 
@@ -10,22 +11,22 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.parallel as parallel
+import repro.system
 from repro.analysis.parallel import (
-    ENV_CHECKPOINT,
-    SweepCheckpoint,
     SweepExecutionError,
     SweepTask,
     WorkloadSpec,
     grid_tasks,
-    resolve_checkpoint,
     resolve_jobs,
     run_task,
     run_tasks,
     run_tasks_resilient,
-    task_key,
 )
 from repro.analysis.sweep import SchemeSweep, SweepResult, paper_schemes
 from repro.sim.config import small_config
+from repro.sim.engine import Simulator
+from repro.sim.resultcache import ResultCache, cell_key
 from repro.sim.stats import Stats
 
 
@@ -180,11 +181,13 @@ def test_grid_tasks_order_is_workload_major():
 _CRASH_FLAG_ENV = "REPRO_TEST_CRASH_DIR"
 
 
-def _tasks2(max_cycles=20_000_000):
+def _tasks2(max_cycles=20_000_000, cache_dir=None, audit=True):
     schemes = {"baseline": ("baseline", small_config(4)),
                "backoff": ("backoff", small_config(4))}
     return grid_tasks(schemes, _specs4(names=("intruder",)),
-                      max_cycles=max_cycles)
+                      max_cycles=max_cycles, audit=audit,
+                      cache_dir=None if cache_dir is None
+                      else str(cache_dir))
 
 
 def _crashy_run_task(task):
@@ -210,7 +213,7 @@ def _raise_run_task(task):
 def test_resilient_matches_plain_runner():
     tasks = _tasks2()
     plain = run_tasks(tasks, jobs=2)
-    resilient = run_tasks_resilient(tasks, jobs=2, checkpoint=False)
+    resilient = run_tasks_resilient(tasks, jobs=2)
     assert [(r.workload, r.scheme) for r in resilient] \
         == [(t.workload, t.scheme) for t in tasks]
     for a, b in zip(plain, resilient):
@@ -221,7 +224,6 @@ def test_killed_worker_is_retried_to_completion(tmp_path, monkeypatch):
     monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
     tasks = _tasks2()
     results = run_tasks_resilient(tasks, jobs=2, retries=3,
-                                  checkpoint=False,
                                   runner=_crashy_run_task)
     assert all(r is not None for r in results)
     assert all(r.stats.tx_committed > 0 for r in results)
@@ -232,14 +234,14 @@ def test_killed_worker_is_retried_to_completion(tmp_path, monkeypatch):
 def test_stuck_pool_times_out_with_structured_error():
     with pytest.raises(SweepExecutionError, match="no completion within"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=0,
-                            task_timeout=0.5, checkpoint=False,
+                            task_timeout=0.5,
                             runner=_sleepy_run_task)
 
 
 def test_deterministic_worker_error_is_not_retried():
     with pytest.raises(SweepExecutionError, match="not retried"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=5,
-                            checkpoint=False, runner=_raise_run_task)
+                            runner=_raise_run_task)
 
 
 def test_crash_exhaustion_names_the_failed_cells(tmp_path, monkeypatch):
@@ -247,99 +249,111 @@ def test_crash_exhaustion_names_the_failed_cells(tmp_path, monkeypatch):
     monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
     with pytest.raises(SweepExecutionError, match="after 1 attempt"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=0,
-                            checkpoint=False, runner=_crashy_run_task)
+                            runner=_crashy_run_task)
 
 
 # ---------------------------------------------------------------------
-# checkpoint / resume
+# resume = rerun against the result cache
 # ---------------------------------------------------------------------
 
-def test_checkpoint_stores_every_cell_and_resumes_for_free(tmp_path):
-    tasks = _tasks2()
-    cp = SweepCheckpoint(tmp_path)
-    first = run_tasks_resilient(tasks, jobs=1, checkpoint=cp)
-    assert cp.stores == len(tasks)
-    assert len(cp) == len(tasks)
-
-    # full resume: every cell replays from disk; the runner (which
-    # would raise) is never invoked
-    cp2 = SweepCheckpoint(tmp_path)
-    second = run_tasks_resilient(tasks, jobs=1, checkpoint=cp2,
-                                 runner=_raise_run_task)
-    assert cp2.hits == len(tasks) and cp2.stores == 0
-    for a, b in zip(first, second):
-        assert a.stats.snapshot() == b.stats.snapshot()
-
-
-def test_resume_recomputes_only_the_missing_cell(tmp_path):
-    tasks = _tasks2()
-    run_tasks_resilient(tasks, jobs=1, checkpoint=SweepCheckpoint(tmp_path))
-    victim = tmp_path / f"{task_key(tasks[0])}.pkl"
-    victim.unlink()
-
+@pytest.fixture
+def sims(monkeypatch):
+    """The cm name of every real simulation in this process."""
     calls = []
+    real = repro.system.run_workload
 
-    def counting_runner(task):  # jobs=1 stays in-process: closures OK
-        calls.append((task.workload, task.scheme))
-        return run_task(task)
+    def counting(config, workload, cm="baseline", **kwargs):
+        calls.append(cm)
+        return real(config, workload, cm=cm, **kwargs)
 
-    cp = SweepCheckpoint(tmp_path)
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=cp,
-                                  runner=counting_runner)
-    assert calls == [(tasks[0].workload, tasks[0].scheme)]
-    assert cp.hits == len(tasks) - 1 and cp.stores == 1
-    assert all(r is not None for r in results)
+    monkeypatch.setattr(repro.system, "run_workload", counting)
+    return calls
 
 
-def test_corrupt_checkpoint_cell_is_quarantined_and_recomputed(tmp_path):
-    tasks = _tasks2()
-    run_tasks_resilient(tasks, jobs=1, checkpoint=SweepCheckpoint(tmp_path))
-    victim = tmp_path / f"{task_key(tasks[1])}.pkl"
-    victim.write_bytes(b"bit rot")
-
-    cp = SweepCheckpoint(tmp_path)
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=cp)
-    assert cp.quarantined == 1
-    assert cp.hits == len(tasks) - 1 and cp.stores == 1
-    assert victim.with_name(victim.name + ".corrupt").is_file()
-    assert all(r is not None for r in results)
+def _cache_path(root, task):
+    key = cell_key(task.config, task.cm,
+                   parallel._FINGERPRINTS[repr(task.spec)])
+    return root / key[:2] / f"{key}.pkl"
 
 
-def test_task_key_is_stable_and_sensitive():
-    a, b = _tasks2()
-    assert task_key(a) == task_key(a)
-    assert task_key(a) != task_key(b)  # scheme differs
-    shorter = _tasks2(max_cycles=10_000_000)[0]
-    assert task_key(a) != task_key(shorter)
+def _snapshots(results):
+    return [r.stats.snapshot() for r in results]
 
 
-def test_resolve_checkpoint_forms(tmp_path, monkeypatch):
-    cp = SweepCheckpoint(tmp_path)
-    assert resolve_checkpoint(cp) is cp
-    assert resolve_checkpoint(False) is None
-    monkeypatch.delenv(ENV_CHECKPOINT, raising=False)
-    assert resolve_checkpoint(None) is None
-    monkeypatch.setenv(ENV_CHECKPOINT, str(tmp_path / "env"))
-    from_env = resolve_checkpoint(None)
-    assert isinstance(from_env, SweepCheckpoint)
-    assert from_env.root == tmp_path / "env"
-    from_path = resolve_checkpoint(tmp_path)
-    assert isinstance(from_path, SweepCheckpoint)
-    assert from_path.root == tmp_path
+def test_resume_recomputes_only_the_missing_cell(tmp_path, fresh_memo,
+                                                 builds, sims):
+    tasks = _tasks2(cache_dir=tmp_path)
+    cold = run_tasks_resilient(tasks, jobs=1)
+    _cache_path(tmp_path, tasks[0]).unlink()
+
+    # a fresh process reruns the grid in-process: the missing cell is
+    # built and simulated, the other one is read from the cache
+    parallel._FINGERPRINTS.clear()
+    builds.clear()
+    sims.clear()
+    warm = run_tasks_resilient(tasks, jobs=1)
+    assert builds == [tasks[0].workload]
+    assert sims == [tasks[0].cm]
+    assert [r.cache_hit for r in warm] == [False, True]
+    assert _snapshots(warm) == _snapshots(cold)
+    assert len(ResultCache(tmp_path)) == len(tasks)
 
 
-def test_scheme_sweep_checkpoint_round_trip(tmp_path):
-    schemes = {"baseline": ("baseline", small_config(4))}
-    specs = _specs4(names=("intruder",))
-    cold = SchemeSweep(schemes, max_cycles=20_000_000, jobs=1,
-                       cache=False,
-                       checkpoint=SweepCheckpoint(tmp_path)).run(specs)
-    cp = SweepCheckpoint(tmp_path)
-    warm = SchemeSweep(schemes, max_cycles=20_000_000, jobs=1,
-                       cache=False, checkpoint=cp).run(specs)
-    assert cp.hits == 1 and cp.stores == 0
-    assert (cold.stats["intruder"]["baseline"].snapshot()
-            == warm.stats["intruder"]["baseline"].snapshot())
+def test_resume_sends_only_the_missing_cells_to_the_pool(
+        tmp_path, fresh_memo, monkeypatch):
+    schemes, specs = _schemes4(), _specs4()
+    cold = run_tasks_resilient(
+        grid_tasks(schemes, specs, max_cycles=20_000_000,
+                   cache_dir=str(tmp_path / "cold")), jobs=2)
+    tasks = grid_tasks(schemes, specs, max_cycles=20_000_000,
+                       cache_dir=str(tmp_path / "cache"))
+    run_tasks_resilient(tasks[::2], jobs=2)  # half the grid finished
+
+    rounds = []
+    real = parallel._run_round
+
+    def recording(task_list, pending, *args):
+        rounds.append(list(pending))
+        return real(task_list, pending, *args)
+
+    monkeypatch.setattr(parallel, "_run_round", recording)
+    resumed = run_tasks_resilient(tasks, jobs=2)
+    missing = list(range(1, len(tasks), 2))
+    assert rounds == [missing]
+    assert [i for i, r in enumerate(resumed) if not r.cache_hit] == missing
+    assert _snapshots(resumed) == _snapshots(cold)
+    assert len(ResultCache(tmp_path / "cache")) == len(tasks)
+
+
+def test_budget_and_audit_stay_out_of_the_cache_key(tmp_path, fresh_memo,
+                                                    monkeypatch):
+    """A finished cell answers for any max_cycles budget and either
+    audit setting, because both only ever raise and never change a
+    completed run's Stats; a cell that raises is never stored."""
+    cold = run_tasks_resilient(
+        _tasks2(max_cycles=20_000_000, cache_dir=tmp_path), jobs=1)
+    assert not any(r.cache_hit for r in cold)
+    for tasks in (_tasks2(max_cycles=200_000_000, cache_dir=tmp_path),
+                  _tasks2(audit=False, cache_dir=tmp_path)):
+        parallel._FINGERPRINTS.clear()
+        warm = run_tasks_resilient(tasks, jobs=1)
+        assert all(r.cache_hit for r in warm)
+        assert _snapshots(warm) == _snapshots(cold)
+
+    real = Simulator.run
+
+    def short_chunks(self, until=None, max_events=None):
+        # System.run checks the budget between 2M-event chunks; small
+        # chunks reach that check without a multi-second cell
+        if max_events is not None:
+            max_events = min(max_events, 200)
+        return real(self, until=until, max_events=max_events)
+
+    monkeypatch.setattr(Simulator, "run", short_chunks)
+    over = tmp_path / "over"
+    with pytest.raises(RuntimeError, match="without completion"):
+        run_tasks_resilient(_tasks2(max_cycles=10, cache_dir=over), jobs=1)
+    assert len(ResultCache(over)) == 0
 
 
 # ---------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.sim.resultcache import (
     write_checked_pickle,
 )
 from repro.sim.stats import Stats
+from repro.sim.trace import Tracer
 from repro.workloads.synthetic import make_synthetic_workload
 
 
@@ -215,6 +216,16 @@ def test_quarantine_moves_entry_aside(tmp_path):
     assert target == tmp_path / "entry.pkl.corrupt"
     assert not path.exists() and target.is_file()
     assert target.read_bytes() == b"garbage"  # kept for post-mortem
+
+
+def test_put_keeps_the_callers_tracer(tmp_path):
+    """Tracers are never persisted, and the caller keeps its own."""
+    cache = ResultCache(tmp_path)
+    stats = Stats(4)
+    tracer = stats.tracer = Tracer()
+    cache.put("k" * 64, stats)
+    assert stats.tracer is tracer
+    assert cache.get("k" * 64).tracer is None
 
 
 def test_clear_and_len(tmp_path, cfg):

@@ -1,12 +1,11 @@
 """Tests for the scenario subsystem: spec validation, the built-in
-registry, the matrix runner (cache bit-identity + checkpoint resume),
+registry, the matrix runner (cache bit-identity + rerun-to-resume),
 manifests, and the determinism audit over every registered scenario."""
 
 import json
 
 import pytest
 
-from repro.analysis.parallel import SweepCheckpoint, run_tasks_resilient
 from repro.scenarios import (
     ScenarioSpec,
     WorkloadDef,
@@ -180,20 +179,18 @@ def test_cells_and_tasks_align():
 
 def test_run_scenario_rejects_invalid():
     with pytest.raises(ValueError, match="invalid"):
-        run_scenario(tiny_spec(schemes=("warp",)), cache=False,
-                     checkpoint=False)
+        run_scenario(tiny_spec(schemes=("warp",)), cache=False)
 
 
 def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
     """The acceptance path: a 32-node scenario x {baseline, puno}
-    matrix completes end-to-end; a re-run against the warm cache is
-    served entirely from cache with bit-identical digests; a
-    checkpointed re-run resumes without executing a single cell."""
+    matrix completes end-to-end; a re-run against the warm cache (how
+    an interrupted run resumes) is served entirely from cache with
+    bit-identical digests."""
     spec = tiny_spec(scale=0.5)
     cache = ResultCache(tmp_path / "cache")
-    cp = SweepCheckpoint(tmp_path / "cp")
 
-    first = run_scenario(spec, cache=cache, checkpoint=cp)
+    first = run_scenario(spec, cache=cache)
     assert first.cache_hits == 0
     assert len(first.results) == 2
     digests = first.snapshot_digests()
@@ -205,22 +202,9 @@ def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
     assert st_puno.puno_unicasts > 0  # and PUNO must engage
 
     # warm cache: every cell a hit, digests bit-identical
-    second = run_scenario(spec, cache=cache, checkpoint=False)
+    second = run_scenario(spec, cache=cache)
     assert second.cache_hits == 2
     assert second.snapshot_digests() == digests
-
-    # checkpoint resume: all cells come back without running anything
-    calls = []
-
-    def boom(task):
-        calls.append(task)
-        raise AssertionError("resume must not re-run completed cells")
-
-    tasks = scenario_tasks(spec, cache=False)
-    resumed = run_tasks_resilient(tasks, 1, checkpoint=cp, runner=boom)
-    assert calls == []
-    assert [r.stats.snapshot_digest() for r in resumed] == [
-        digests["hotspot/baseline/s0"], digests["hotspot/puno/s0"]]
 
     with pytest.raises(KeyError):
         first.stats("hotspot", "baseline", seed=9)
@@ -228,7 +212,7 @@ def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
 
 def test_smoke_run_and_manifest(tmp_path):
     spec = tiny_spec(smoke_scale=0.5)
-    result = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
+    result = run_scenario(spec, smoke=True, cache=False)
     assert result.spec.name == "tiny-32-smoke"
     text = result.render_text()
     assert "tiny-32-smoke" in text and "exec x" in text
@@ -261,8 +245,8 @@ def test_scenario_smoke_is_deterministic(name):
     experiment artifact, so nondeterminism anywhere (workload
     generation, scheduling, fault injection) is a bug."""
     spec = get_scenario(name)
-    a = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
-    b = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
+    a = run_scenario(spec, smoke=True, cache=False)
+    b = run_scenario(spec, smoke=True, cache=False)
     da, db = a.snapshot_digests(), b.snapshot_digests()
     assert da == db
     assert len(da) == spec.smoke().num_cells

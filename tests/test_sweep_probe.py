@@ -17,8 +17,6 @@ import pytest
 import repro.analysis.parallel as parallel
 import repro.analysis.sweep as sweep_mod
 from repro.analysis.parallel import (
-    SweepCheckpoint,
-    TaskResult,
     WorkloadSpec,
     grid_tasks,
     run_task,
@@ -27,8 +25,6 @@ from repro.analysis.parallel import (
 from repro.analysis.sweep import SchemeSweep
 from repro.sim.config import small_config
 from repro.sim.resultcache import cell_key
-from repro.sim.stats import Stats
-from repro.sim.trace import Tracer
 from repro.workloads.families import FAMILIES, FamilyMeta, \
     make_hotspot_workload
 
@@ -46,26 +42,8 @@ def _specs(names=("intruder", "kmeans")):
             for n in names}
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo(monkeypatch):
-    """Each test starts with no learned fingerprints."""
-    monkeypatch.setattr(parallel, "_FINGERPRINTS", {})
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """Counts WorkloadSpec.build calls in this process."""
-    calls = []
-    real = WorkloadSpec.build
-
-    def counting(self):
-        calls.append(self.name)
-        return real(self)
-
-    monkeypatch.setattr(WorkloadSpec, "build", counting)
-    return calls
+# each test starts with no learned fingerprints
+pytestmark = pytest.mark.usefixtures("fresh_memo")
 
 
 @pytest.fixture
@@ -153,20 +131,10 @@ def test_cold_sweep_hashes_each_spec_once(tmp_path, monkeypatch):
         return real(workload)
 
     monkeypatch.setattr(parallel, "workload_fingerprint", counting)
-    results = run_tasks_resilient(_tasks(tmp_path), jobs=1,
-                                  checkpoint=False)
+    results = run_tasks_resilient(_tasks(tmp_path), jobs=1)
     assert sorted(hashed) == ["intruder", "kmeans"]
     assert not any(r.cache_hit for r in results)
     assert all(r.fingerprint for r in results)
-
-
-def test_probe_hit_is_checkpointed(tmp_path):
-    tasks = _tasks(tmp_path / "cache")
-    run_tasks_resilient(tasks, jobs=1, checkpoint=False)
-    cp = SweepCheckpoint(tmp_path / "cp")
-    results = run_tasks_resilient(tasks, jobs=2, checkpoint=cp)
-    assert all(r.cache_hit for r in results)
-    assert cp.stores == len(tasks) and len(cp) == len(tasks)
 
 
 # ---------------------------------------------------------------------
@@ -189,7 +157,7 @@ def test_sanitized_warm_grid_simulates_every_cell(tmp_path, monkeypatch,
 
 def test_custom_runner_sees_every_cell_with_a_primed_memo(tmp_path):
     tasks = _tasks(tmp_path)
-    run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    run_tasks_resilient(tasks, jobs=1)
     assert parallel._FINGERPRINTS
     calls = []
 
@@ -197,7 +165,7 @@ def test_custom_runner_sees_every_cell_with_a_primed_memo(tmp_path):
         calls.append((task.workload, task.scheme))
         return run_task(task)
 
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=False,
+    results = run_tasks_resilient(tasks, jobs=1,
                                   runner=counting_runner)
     assert calls == [(t.workload, t.scheme) for t in tasks]
     assert all(r.cache_hit for r in results)  # run_task's own lookup
@@ -205,25 +173,25 @@ def test_custom_runner_sees_every_cell_with_a_primed_memo(tmp_path):
 
 def test_fault_cells_simulate_with_a_primed_memo(tmp_path, builds):
     tasks = _tasks(tmp_path)
-    run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    run_tasks_resilient(tasks, jobs=1)
     assert parallel._FINGERPRINTS
     builds.clear()
     faulty = [dataclasses.replace(t, faults="delay=0.05,seed=3")
               for t in tasks]
-    results = run_tasks_resilient(faulty, jobs=1, checkpoint=False)
+    results = run_tasks_resilient(faulty, jobs=1)
     assert len(builds) == len(faulty)
     assert not any(r.cache_hit for r in results)
 
 
 def test_disabled_cache_is_not_probed(tmp_path, monkeypatch, builds):
     tasks = _tasks(tmp_path)
-    run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    run_tasks_resilient(tasks, jobs=1)
     builds.clear()
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    results = run_tasks_resilient(tasks, jobs=1)
     monkeypatch.delenv("REPRO_NO_CACHE")
     uncached = [dataclasses.replace(t, use_cache=False) for t in tasks]
-    results += run_tasks_resilient(uncached, jobs=1, checkpoint=False)
+    results += run_tasks_resilient(uncached, jobs=1)
     assert len(builds) == 2 * len(tasks)
     assert not any(r.cache_hit for r in results)
 
@@ -231,19 +199,19 @@ def test_disabled_cache_is_not_probed(tmp_path, monkeypatch, builds):
 def test_corrupt_entry_found_by_probe_is_quarantined_and_resimulated(
         tmp_path):
     tasks = _tasks(tmp_path)
-    cold = run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    cold = run_tasks_resilient(tasks, jobs=1)
     victim = tasks[1]
     key = cell_key(victim.config, victim.cm,
                    parallel._FINGERPRINTS[repr(victim.spec)])
     path = tmp_path / key[:2] / f"{key}.pkl"
     path.write_bytes(b"bit rot")
 
-    warm = run_tasks_resilient(tasks, jobs=2, checkpoint=False)
+    warm = run_tasks_resilient(tasks, jobs=2)
     assert [r.cache_hit for r in warm] == [True, False, True, True]
     assert path.with_name(path.name + ".corrupt").is_file()
     assert _snapshots(warm) == _snapshots(cold)
     # the re-simulated cell was stored again
-    again = run_tasks_resilient(tasks, jobs=2, checkpoint=False)
+    again = run_tasks_resilient(tasks, jobs=2)
     assert all(r.cache_hit for r in again)
 
 
@@ -261,23 +229,9 @@ def test_spec_with_list_params_is_probed(tmp_path, monkeypatch, builds):
         hash(spec)
     tasks = grid_tasks(_schemes(), {"hl": spec}, max_cycles=MAX_CYCLES,
                        cache_dir=str(tmp_path))
-    cold = run_tasks_resilient(tasks, jobs=1, checkpoint=False)
+    cold = run_tasks_resilient(tasks, jobs=1)
     builds.clear()
-    warm = run_tasks_resilient(tasks, jobs=2, checkpoint=False)
+    warm = run_tasks_resilient(tasks, jobs=2)
     assert builds == []
     assert all(r.cache_hit for r in warm)
     assert _snapshots(warm) == _snapshots(cold)
-
-
-# ---------------------------------------------------------------------
-# persisted entries never carry a tracer; the caller keeps its own
-# ---------------------------------------------------------------------
-
-def test_checkpoint_put_keeps_the_callers_tracer(tmp_path):
-    task = _tasks(tmp_path / "cache")[0]
-    stats = Stats(4)
-    tracer = stats.tracer = Tracer()
-    cp = SweepCheckpoint(tmp_path / "cp")
-    cp.put(task, TaskResult(task.workload, task.scheme, stats, 0.0, False))
-    assert stats.tracer is tracer
-    assert cp.get(task).stats.tracer is None
