@@ -18,10 +18,10 @@ Commands:
   scenarios (``repro scenario run <name>`` executes the full
   workload x scheme x seed matrix through the resilient sweep
   machinery; ``--smoke`` runs the scaled-down variant).
-* ``golden`` — run the golden-run regression tour and compare its
-  canonical snapshot digests against ``tests/golden/golden.json``
-  (``--update`` re-pins after an intentional behaviour change;
-  ``--scale`` / ``--tournament`` cover the scale and scheme sections).
+* ``golden`` — rerun one pinned section (``tour``, ``scale``,
+  ``tournament`` or ``paper``) and compare its canonical snapshot
+  digests against ``tests/golden/golden.json`` (``--update`` re-pins
+  after an intentional behaviour change).
 * ``tournament`` — sweep every registered protocol scheme
   (``repro.schemes``) head-to-head against PUNO on the 16-node
   tournament matrix.
@@ -391,74 +391,23 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_golden(args) -> int:
-    from repro.scenarios.golden import (
-        SCALE_SCENARIOS,
-        check_golden,
-        check_scale_golden,
-        check_scheme_golden,
-        compute_golden_digests,
-        compute_scale_digests,
-        compute_scheme_digests,
-        save_golden,
-        save_scale_golden,
-        save_scheme_golden,
-    )
-    scenarios = SCALE_SCENARIOS
-    if args.scenarios:
-        scenarios = tuple(s for s in args.scenarios.split(",") if s)
-    if args.tournament:
-        if args.update:
-            digests = compute_scheme_digests(verbose=not args.json)
-            path = save_scheme_golden(digests, args.file)
-            print(f"pinned {len(digests)} scheme digest(s) to {path}")
-            return 0
-        try:
-            report = check_scheme_golden(args.file,
-                                         verbose=not args.json)
-        except (FileNotFoundError, KeyError):
-            print(f"no scheme section in {args.file}; pin it with "
-                  f"'repro golden --tournament --update'",
-                  file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1))
-        else:
-            print(report.describe())
-        return 0 if report.ok else 1
-    if args.scale:
-        if args.update:
-            digests = compute_scale_digests(verbose=not args.json,
-                                            scenarios=scenarios)
-            path = save_scale_golden(digests, args.file)
-            print(f"pinned {len(digests)} scale digest(s) to {path}")
-            return 0
-        try:
-            report = check_scale_golden(args.file, verbose=not args.json,
-                                        scenarios=scenarios)
-        except (FileNotFoundError, KeyError):
-            print(f"no scale section in {args.file}; pin it with "
-                  f"'repro golden --scale --update'", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1))
-        else:
-            print(report.describe())
-        return 0 if report.ok else 1
-    if args.update:
-        digests = compute_golden_digests(verbose=not args.json)
-        path = save_golden(digests, args.file)
-        print(f"pinned {len(digests)} golden digest(s) to {path}")
-        return 0
+    from repro.scenarios import golden
     try:
-        report = check_golden(args.file, verbose=not args.json)
-    except FileNotFoundError:
-        print(f"no golden file at {args.file}; create one with "
-              f"'repro golden --update'", file=sys.stderr)
+        if args.update:
+            digests = golden.compute_digests(args.section, args.only,
+                                             verbose=not args.json)
+            path = golden.save_digests(args.section, digests, args.file,
+                                       args.only)
+            print(f"pinned {len(digests)} {args.section} digest(s) to "
+                  f"{path}")
+            return 0
+        report = golden.check(args.section, args.file, args.only,
+                              verbose=not args.json)
+    except golden.Unpinned as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=1))
-    else:
-        print(report.describe())
+    print(json.dumps(report.to_dict(), indent=1) if args.json
+          else report.describe())
     return 0 if report.ok else 1
 
 
@@ -712,24 +661,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     gold_p = sub.add_parser(
         "golden", help="golden-run regression suite: compare canonical "
-                       "snapshot digests of a pinned STAMP tour "
+                       "snapshot digests of one pinned section "
                        "(exit 0 match / 1 mismatch / 2 never pinned)")
+    gold_p.add_argument("section", nargs="?", default="tour",
+                        choices=("tour", "scale", "tournament", "paper"),
+                        help="tour (default, <1 s), scale (256/1024-node "
+                             "smoke cells), tournament (every registered "
+                             "scheme) or paper (Table IV at scale 1.0)")
+    gold_p.add_argument("--only", default="", metavar="PREFIX",
+                        help="run (or --update re-pin) only the cells "
+                             "whose key starts with PREFIX")
     gold_p.add_argument("--update", action="store_true",
                         help="re-pin the digests (bless an intentional "
                              "behaviour change)")
     gold_p.add_argument("--file", default="tests/golden/golden.json",
                         help="golden file location")
-    gold_p.add_argument("--scale", action="store_true",
-                        help="check (or --update pin) the scale "
-                             "section: sanitized smoke cells of the "
-                             "paper-256/paper-1024 scenarios")
-    gold_p.add_argument("--scenarios", default="",
-                        help="with --scale: comma-separated subset of "
-                             "the scale scenarios to run (default all)")
-    gold_p.add_argument("--tournament", action="store_true",
-                        help="check (or --update pin) the scheme "
-                             "section: sanitized tournament cells of "
-                             "every registered scheme")
     gold_p.add_argument("--json", action="store_true",
                         help="print the report as JSON")
 

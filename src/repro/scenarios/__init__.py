@@ -19,7 +19,9 @@ Entry points:
 * :func:`~repro.scenarios.runner.run_scenario` — the matrix runner
   behind ``repro scenario run``,
 * :mod:`~repro.scenarios.golden` — the golden-run regression suite
-  behind ``repro golden``.
+  behind ``repro golden``: one table of pinned sections (``tour``,
+  ``scale``, ``tournament``, ``paper``) with one compute, save, load
+  and check path.
 """
 
 from repro.scenarios.spec import ScenarioSpec, WorkloadDef

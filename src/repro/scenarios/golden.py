@@ -1,40 +1,57 @@
 """Golden-run regression suite (``repro golden``).
 
 Pins the canonical end-of-run snapshot digest
-(:meth:`repro.sim.stats.Stats.snapshot_digest`) of a small STAMP tour
-— four representative workloads under the baseline and PUNO designs,
-with the dynamic protocol sanitizer armed — in
-``tests/golden/golden.json``.  Any behavioural change to the
-simulator, however subtle (one skipped MP-bit relay, one reordered
-message, one miscounted cycle), changes at least one digest and fails
-the suite; an *intentional* behaviour change is blessed with
-``repro golden --update``.
+(:meth:`repro.sim.stats.Stats.snapshot_digest`) of sanitized runs in
+``tests/golden/golden.json``.  The file holds one digest mapping per
+*section*, and each section is one row of :data:`SECTIONS`: the list
+of its cell keys and a function that runs one cell.
 
-The tour is deliberately cheap (sub-second) so it can run in every
-test invocation: digests cover every counter in the snapshot, so a
-small tour buys wide behavioural coverage.  Golden runs always bypass
-the result cache (a cache hit would re-hash the pinned result and
-verify nothing).
+* ``tour`` — four representative STAMP workloads x {baseline, puno} at
+  scale 0.1.  Sub-second, so it runs in every test invocation; it is
+  the default section.
+* ``scale`` — the sanitized smoke cells of the paper-256/paper-1024
+  scenarios (computed routing, pooled directories, wide bitsets).
+* ``tournament`` — intruder and vacation at scale 0.1 under every
+  registered scheme, so a newly registered scheme shows up as EXTRA
+  until pinned.
+* ``paper`` — the paper's Table IV matrix: all eight STAMP workloads x
+  {baseline, backoff, rmw, puno} at scale 1.0 (~12 s).  It is the only
+  section that runs bayes, labyrinth and yada, and the only one that
+  sees same-cycle tie order (see ``tests/test_golden.py``).
+
+The three STAMP sections share one envelope — 16 nodes, workload seed
+``GOLDEN_SEED``, config seed ``GOLDEN_SEED + 1``, PUNO units enabled
+when the scheme needs them — and differ only in workloads, schemes and
+scale.  Any behavioural change to the simulator, however subtle (one
+skipped MP-bit relay, one reordered message, one miscounted cycle),
+changes at least one digest; an *intentional* change is blessed with
+``repro golden <section> --update``.  Golden runs always bypass the
+result cache (a cache hit would re-hash the pinned result and verify
+nothing).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.analysis.sweep import paper_schemes
+from repro.scenarios.registry import get_scenario
+from repro.schemes import get_scheme, scheme_names
+from repro.schemes.tournament import TOURNAMENT_SCALE, TOURNAMENT_WORKLOADS
 from repro.sim.config import SystemConfig
 from repro.system import System
-from repro.workloads.stamp import make_stamp_workload
+from repro.workloads.stamp import STAMP_WORKLOADS, make_stamp_workload
 
 #: Repo-relative location of the pinned digests.
 DEFAULT_GOLDEN_PATH = Path("tests") / "golden" / "golden.json"
 
-#: The tour: (workload, scheme) cells.  Intruder is the high-contention
-#: member (exercises false aborting + MP feedback), kmeans the
-#: RMW-heavy one, vacation the mid-contention mixed one, genome the
-#: near-contention-free control.
+#: The tour: intruder is the high-contention member (exercises false
+#: aborting + MP feedback), kmeans the RMW-heavy one, vacation the
+#: mid-contention mixed one, genome the near-contention-free control.
 GOLDEN_WORKLOADS: Tuple[str, ...] = ("intruder", "kmeans", "vacation",
                                      "genome")
 GOLDEN_SCHEMES: Tuple[str, ...] = ("baseline", "puno")
@@ -43,144 +60,99 @@ GOLDEN_SCALE = 0.1
 GOLDEN_SEED = 0
 GOLDEN_MAX_CYCLES = 200_000_000
 
-#: Bumped when the tour definition itself changes (not when behaviour
-#: changes — that is what ``--update`` records).
-GOLDEN_FORMAT = 1
+#: The paper section runs the paper's four designs at full scale.
+PAPER_SCALE = 1.0
 
-#: The scale family: the *smoke* cells of these scenarios are pinned
-#: under a separate ``scale_digests`` section of the golden file, so
-#: the cheap default tour stays sub-second while the 256/1024-node
-#: computed-routing + pooled-directory paths get their own
-#: bit-identity contract (``repro golden --scale``).
+#: The scenarios whose smoke cells make up the scale section.
 SCALE_SCENARIOS: Tuple[str, ...] = ("paper-256", "paper-1024")
 
+#: Bumped when the file layout or a section's definition changes (not
+#: when behaviour changes — that is what ``--update`` records).
+GOLDEN_FORMAT = 2
 
-def golden_cells() -> List[Tuple[str, str]]:
-    return [(wl, scheme) for wl in GOLDEN_WORKLOADS
-            for scheme in GOLDEN_SCHEMES]
+
+class Unpinned(LookupError):
+    """Nothing to compare against: a missing golden file, another file
+    format, a missing section, or an ``only`` filter matching no cell."""
 
 
-def run_golden_cell(workload: str, scheme: str) -> "System":
-    """One sanitized, audited golden run; returns the finished System
-    (callers read ``system.stats``)."""
+def _stamp_keys(workloads, schemes) -> List[str]:
+    return [f"{wl}/{scheme}" for wl in workloads for scheme in schemes]
+
+
+def _run_stamp(scale: float, key: str) -> System:
+    """One sanitized ``workload/scheme`` STAMP cell at ``scale``."""
+    workload, scheme = key.split("/")
     cfg = SystemConfig(seed=GOLDEN_SEED + 1)
-    if scheme == "puno":
+    if get_scheme(scheme).needs_puno:
         cfg = cfg.with_puno()
     wl = make_stamp_workload(workload, num_nodes=GOLDEN_NODES,
-                             scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+                             scale=scale, seed=GOLDEN_SEED)
     system = System(cfg, wl, scheme, sanitize=True)
     system.run(max_cycles=GOLDEN_MAX_CYCLES)
     return system
 
 
-def compute_golden_digests(verbose: bool = False) -> Dict[str, str]:
-    """Run the whole tour; digests keyed ``workload/scheme``."""
-    out: Dict[str, str] = {}
-    for workload, scheme in golden_cells():
-        system = run_golden_cell(workload, scheme)
-        digest = system.stats.snapshot_digest()
-        out[f"{workload}/{scheme}"] = digest
-        if verbose:
-            print(f"  {workload}/{scheme}: {digest[:16]}… "
-                  f"({system.stats.sanitizer_checks} sanitizer checks)")
-    return out
-
-
-# ---------------------------------------------------------------------
-# the scale section (paper-256 / paper-1024 smoke cells)
-# ---------------------------------------------------------------------
-
-def scale_cells(scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                ) -> List[Tuple[str, str, str, int]]:
-    """Every (scenario, workload-label, scheme, seed) smoke cell."""
-    from repro.scenarios.registry import get_scenario
-    cells: List[Tuple[str, str, str, int]] = []
-    for name in scenarios:
+def _scale_keys() -> List[str]:
+    keys: List[str] = []
+    for name in SCALE_SCENARIOS:
         spec = get_scenario(name).smoke()
-        for wl in spec.workloads:
-            for scheme in spec.schemes:
-                for seed in spec.seeds:
-                    cells.append((name, wl.label, scheme, seed))
-    return cells
+        keys += [f"{name}/{wl.label}/{scheme}/s{seed}"
+                 for wl in spec.workloads for scheme in spec.schemes
+                 for seed in spec.seeds]
+    return keys
 
 
-def run_scale_cell(scenario: str, workload: str, scheme: str,
-                   seed: int) -> "System":
-    """One sanitized smoke run of a scale scenario cell."""
-    from repro.scenarios.registry import get_scenario
+def _run_scale(key: str) -> System:
+    """One sanitized ``scenario/workload/scheme/s<seed>`` smoke cell."""
+    scenario, label, scheme, seed_tag = key.split("/")
+    seed = int(seed_tag[1:])
     spec = get_scenario(scenario).smoke()
-    for wl in spec.workloads:
-        if wl.label == workload:
-            break
-    else:
-        raise KeyError(f"scenario {scenario!r} smoke has no workload "
-                       f"{workload!r}")
+    wl = next(w for w in spec.workloads if w.label == label)
     ws = wl.to_spec(spec.nodes, spec.scale, seed)
-    cfg = spec.config(scheme, seed)
-    system = System(cfg, ws.build(), scheme, sanitize=True)
+    system = System(spec.config(scheme, seed), ws.build(), scheme,
+                    sanitize=True)
     system.run(max_cycles=spec.max_cycles)
     return system
 
 
-def compute_scale_digests(verbose: bool = False,
-                          scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                          ) -> Dict[str, str]:
-    """Run the scale family; digests keyed
-    ``scenario/workload/scheme/s<seed>``."""
+@dataclass(frozen=True)
+class Section:
+    """One pinned section: its cell keys and how to run one cell."""
+
+    keys: Callable[[], List[str]]
+    run: Callable[[str], System]
+
+
+SECTIONS: Dict[str, Section] = {
+    "tour": Section(partial(_stamp_keys, GOLDEN_WORKLOADS, GOLDEN_SCHEMES),
+                    partial(_run_stamp, GOLDEN_SCALE)),
+    "scale": Section(_scale_keys, _run_scale),
+    "tournament": Section(
+        lambda: _stamp_keys(TOURNAMENT_WORKLOADS, scheme_names()),
+        partial(_run_stamp, TOURNAMENT_SCALE)),
+    "paper": Section(partial(_stamp_keys, STAMP_WORKLOADS, paper_schemes()),
+                     partial(_run_stamp, PAPER_SCALE)),
+}
+
+
+def cells(section: str, only: str = "") -> List[str]:
+    """The section's cell keys that start with ``only``."""
+    keys = [k for k in SECTIONS[section].keys() if k.startswith(only)]
+    if not keys:
+        raise Unpinned(f"no {section} cell key starts with {only!r}")
+    return keys
+
+
+def compute_digests(section: str, only: str = "",
+                    verbose: bool = False) -> Dict[str, str]:
+    """Run the section's cells (those starting with ``only``)."""
     out: Dict[str, str] = {}
-    for scenario, workload, scheme, seed in scale_cells(scenarios):
-        system = run_scale_cell(scenario, workload, scheme, seed)
-        digest = system.stats.snapshot_digest()
-        out[f"{scenario}/{workload}/{scheme}/s{seed}"] = digest
+    for key in cells(section, only):
+        system = SECTIONS[section].run(key)
+        out[key] = system.stats.snapshot_digest()
         if verbose:
-            print(f"  {scenario}/{workload}/{scheme}/s{seed}: "
-                  f"{digest[:16]}… "
-                  f"({system.stats.sanitizer_checks} sanitizer checks)")
-    return out
-
-
-# ---------------------------------------------------------------------
-# the scheme tournament section (every registered scheme, pinned)
-# ---------------------------------------------------------------------
-
-def scheme_cells() -> List[Tuple[str, str]]:
-    """Every (workload, scheme) tournament cell — one per registered
-    scheme per tournament workload, so newly registered schemes show
-    up as EXTRA until pinned."""
-    from repro.schemes import list_schemes
-    from repro.schemes.tournament import TOURNAMENT_WORKLOADS
-    return [(wl, s.name) for wl in TOURNAMENT_WORKLOADS
-            for s in list_schemes()]
-
-
-def run_scheme_cell(workload: str, scheme: str) -> "System":
-    """One sanitized, audited tournament cell (same envelope as the
-    main tour; PUNO enablement comes from the scheme registry)."""
-    from repro.schemes import get_scheme
-    from repro.schemes.tournament import (
-        TOURNAMENT_NODES,
-        TOURNAMENT_SCALE,
-        TOURNAMENT_SEED,
-    )
-    cfg = SystemConfig(seed=TOURNAMENT_SEED + 1)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
-    wl = make_stamp_workload(workload, num_nodes=TOURNAMENT_NODES,
-                             scale=TOURNAMENT_SCALE, seed=TOURNAMENT_SEED)
-    system = System(cfg, wl, scheme, sanitize=True)
-    system.run(max_cycles=GOLDEN_MAX_CYCLES)
-    return system
-
-
-def compute_scheme_digests(verbose: bool = False) -> Dict[str, str]:
-    """Run the tournament grid; digests keyed ``workload/scheme``."""
-    out: Dict[str, str] = {}
-    for workload, scheme in scheme_cells():
-        system = run_scheme_cell(workload, scheme)
-        digest = system.stats.snapshot_digest()
-        out[f"{workload}/{scheme}"] = digest
-        if verbose:
-            print(f"  {workload}/{scheme}: {digest[:16]}… "
+            print(f"  {key}: {out[key][:16]}… "
                   f"({system.stats.sanitizer_checks} sanitizer checks)")
     return out
 
@@ -189,120 +161,61 @@ def compute_scheme_digests(verbose: bool = False) -> Dict[str, str]:
 # pinned-file I/O
 # ---------------------------------------------------------------------
 
-def _read_doc(path: Path) -> Dict[str, object]:
+def repin_command(section: str,
+                  path: Union[str, Path] = DEFAULT_GOLDEN_PATH) -> str:
+    cmd = f"repro golden {section} --update"
+    if Path(path) != DEFAULT_GOLDEN_PATH:
+        cmd += f" --file {path}"
+    return cmd
+
+
+def _read_doc(path: Path) -> Dict:
+    """The file's JSON object; {} when missing or not an object."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
+        doc = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
         return {}
+    return doc if isinstance(doc, dict) else {}
 
 
-def save_golden(digests: Dict[str, str],
-                path: Union[str, Path] = DEFAULT_GOLDEN_PATH) -> Path:
+def load_digests(section: str,
+                 path: Union[str, Path] = DEFAULT_GOLDEN_PATH
+                 ) -> Dict[str, str]:
+    """The pinned digests of ``section``; raises :class:`Unpinned`."""
     path = Path(path)
+    doc = _read_doc(path)
+    if not path.exists():
+        problem = "no such file"
+    elif doc.get("format") != GOLDEN_FORMAT:
+        problem = (f"golden format {doc.get('format')!r}, expected "
+                   f"{GOLDEN_FORMAT}")
+    elif section not in doc:
+        problem = f"no {section} section"
+    else:
+        return dict(doc[section])
+    raise Unpinned(f"{path}: {problem}; pin it with "
+                   f"'{repin_command(section, path)}'")
+
+
+def save_digests(section: str, digests: Dict[str, str],
+                 path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
+                 only: str = "") -> Path:
+    """Pin ``digests`` as ``section``, keeping every other section.
+
+    With ``only``, just the section's keys starting with that prefix
+    are replaced and the rest of the section is kept.  A file of
+    another format is rewritten from scratch.
+    """
+    path = Path(path)
+    doc = _read_doc(path)
+    if doc.get("format") != GOLDEN_FORMAT:
+        doc = {"format": GOLDEN_FORMAT}
+    kept = {k: d for k, d in doc.get(section, {}).items()
+            if only and not k.startswith(only)}
+    doc[section] = {**kept, **digests}
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "format": GOLDEN_FORMAT,
-        "tour": {
-            "workloads": list(GOLDEN_WORKLOADS),
-            "schemes": list(GOLDEN_SCHEMES),
-            "nodes": GOLDEN_NODES,
-            "scale": GOLDEN_SCALE,
-            "seed": GOLDEN_SEED,
-            "sanitize": True,
-        },
-        "digests": dict(sorted(digests.items())),
-    }
-    # re-pinning the tour must not silently drop the other sections
-    old = _read_doc(path)
-    for section in ("scale_digests", "scheme_digests"):
-        if section in old:
-            doc[section] = old[section]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def save_scale_golden(scale_digests: Dict[str, str],
-                      path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                      ) -> Path:
-    """Pin the scale section, preserving the main tour digests."""
-    path = Path(path)
-    doc = _read_doc(path)
-    if not doc:
-        raise FileNotFoundError(
-            f"{path}: pin the main tour first ('repro golden --update') "
-            f"so the scale section has a file to live in")
-    doc["scale_digests"] = dict(sorted(scale_digests.items()))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_scale_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                      ) -> Dict[str, str]:
-    """The pinned scale digests; raises KeyError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    if "scale_digests" not in doc:
-        raise KeyError(
-            f"{path} has no scale section; pin it with "
-            f"'repro golden --scale --update'")
-    return dict(doc["scale_digests"])
-
-
-def save_scheme_golden(scheme_digests: Dict[str, str],
-                       path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                       ) -> Path:
-    """Pin the tournament section, preserving every other section."""
-    path = Path(path)
-    doc = _read_doc(path)
-    if not doc:
-        raise FileNotFoundError(
-            f"{path}: pin the main tour first ('repro golden --update') "
-            f"so the scheme section has a file to live in")
-    doc["scheme_digests"] = dict(sorted(scheme_digests.items()))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_scheme_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                       ) -> Dict[str, str]:
-    """The pinned tournament digests; KeyError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    if "scheme_digests" not in doc:
-        raise KeyError(
-            f"{path} has no scheme section; pin it with "
-            f"'repro golden --tournament --update'")
-    return dict(doc["scheme_digests"])
-
-
-def load_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                ) -> Dict[str, str]:
-    """The pinned digests; raises FileNotFoundError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    return dict(doc["digests"])
 
 
 # ---------------------------------------------------------------------
@@ -317,26 +230,29 @@ class GoldenReport:
     mismatched: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     missing: List[str] = field(default_factory=list)  # pinned, not run
     extra: List[str] = field(default_factory=list)  # run, not pinned
+    section: str = "tour"
 
     @property
     def ok(self) -> bool:
         return not (self.mismatched or self.missing or self.extra)
 
     def describe(self) -> str:
-        lines = [f"golden: {len(self.matched)} cell(s) match"]
+        repin = f"'{repin_command(self.section)}'"
+        lines = [f"golden {self.section}: {len(self.matched)} cell(s) "
+                 f"match"]
         for cell, (pinned, got) in sorted(self.mismatched.items()):
             lines.append(f"  MISMATCH {cell}: pinned {pinned[:16]}… "
                          f"got {got[:16]}…")
         for cell in self.missing:
             lines.append(f"  MISSING  {cell}: pinned but not produced "
-                         f"by the current tour")
+                         f"by the current section")
         for cell in self.extra:
             lines.append(f"  EXTRA    {cell}: produced but not pinned "
-                         f"(re-pin with 'repro golden --update')")
+                         f"(re-pin with {repin})")
         if not self.ok:
             lines.append("golden suite FAILED — a behavioural change "
                          "reached the protocol; if intentional, bless "
-                         "it with 'repro golden --update'")
+                         f"it with {repin}")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
@@ -350,9 +266,9 @@ class GoldenReport:
         }
 
 
-def compare_digests(pinned: Dict[str, str],
-                    current: Dict[str, str]) -> GoldenReport:
-    report = GoldenReport()
+def compare_digests(pinned: Dict[str, str], current: Dict[str, str],
+                    section: str = "tour") -> GoldenReport:
+    report = GoldenReport(section=section)
     for cell, digest in pinned.items():
         if cell not in current:
             report.missing.append(cell)
@@ -364,54 +280,18 @@ def compare_digests(pinned: Dict[str, str],
     return report
 
 
-def check_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                 verbose: bool = False,
-                 current: Optional[Dict[str, str]] = None) -> GoldenReport:
-    """Run the tour and compare against the pinned digests.
+def check(section: str, path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
+          only: str = "", verbose: bool = False,
+          current: Optional[Dict[str, str]] = None) -> GoldenReport:
+    """Run the section's cells starting with ``only`` and compare them
+    against the pinned digests; pinned cells outside the filter are
+    ignored rather than reported missing.
 
     ``current`` lets tests inject precomputed (or deliberately
-    mutated) digests instead of re-running the tour.
+    mutated) digests instead of re-running the cells.
     """
-    pinned = load_golden(path)
+    pinned = {k: d for k, d in load_digests(section, path).items()
+              if k.startswith(only)}
     if current is None:
-        current = compute_golden_digests(verbose=verbose)
-    return compare_digests(pinned, current)
-
-
-def check_scheme_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                        verbose: bool = False,
-                        current: Optional[Dict[str, str]] = None
-                        ) -> GoldenReport:
-    """Run the tournament grid and compare against its pinned section.
-
-    ``current`` lets tests inject precomputed (or deliberately
-    mutated) digests instead of re-running the grid; a registered
-    scheme with no pinned cell reports as EXTRA, a pinned cell whose
-    scheme was unregistered as MISSING.
-    """
-    pinned = load_scheme_golden(path)
-    if current is None:
-        current = compute_scheme_digests(verbose=verbose)
-    return compare_digests(pinned, current)
-
-
-def check_scale_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                       verbose: bool = False,
-                       current: Optional[Dict[str, str]] = None,
-                       scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                       ) -> GoldenReport:
-    """Run the scale family and compare against its pinned section.
-
-    ``scenarios`` restricts the run (CI's scale-smoke job checks only
-    ``paper-256``); pinned cells outside the selection are ignored
-    rather than reported missing.
-    """
-    pinned = load_scale_golden(path)
-    if scenarios != SCALE_SCENARIOS:
-        prefixes = tuple(f"{name}/" for name in scenarios)
-        pinned = {cell: d for cell, d in pinned.items()
-                  if cell.startswith(prefixes)}
-    if current is None:
-        current = compute_scale_digests(verbose=verbose,
-                                        scenarios=scenarios)
-    return compare_digests(pinned, current)
+        current = compute_digests(section, only, verbose)
+    return compare_digests(pinned, current, section)

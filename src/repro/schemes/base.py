@@ -19,7 +19,7 @@ policies; scenario specs consult :attr:`Scheme.needs_puno` to decide
 whether the cell's config must enable the PUNO units.  Adding a scheme
 is one :func:`~repro.schemes.registry.register_scheme` call — the
 scenario validator, the tournament matrix, the conformance suite and
-the golden ``scheme_digests`` section all pick it up automatically.
+the golden ``tournament`` section all pick it up automatically.
 
 Determinism contract: every scheme draws randomness only from the
 seeded stream handed to ``cm_factory`` (derived from the config seed

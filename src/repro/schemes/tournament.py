@@ -6,8 +6,8 @@ runs use (process fan-out, result cache, rerun-to-resume).  PUNO is
 the first scheme of the spec, so the rendered table normalizes every
 contender against it.
 
-The tournament grid doubles as the golden ``scheme_digests`` section:
-``repro golden --tournament`` reruns each cell sanitized and compares
+The tournament grid doubles as the golden ``tournament`` section:
+``repro golden tournament`` reruns each cell sanitized and compares
 canonical snapshot digests against the pinned values (see
 :mod:`repro.scenarios.golden`), so every scheme — including downstream
 plug-ins once pinned — carries its own bit-identity contract.
@@ -54,7 +54,7 @@ def tournament_spec(nodes: int = TOURNAMENT_NODES,
                     "PUNO: directory-forward x contention-manager x "
                     "version-management policies on one matrix, "
                     "digests pinned per scheme in the golden "
-                    "scheme_digests section.",
+                    "tournament section.",
         nodes=nodes,
         workloads=tuple(WorkloadDef(w) for w in workloads),
         schemes=tuple(schemes) if schemes else tournament_schemes(),

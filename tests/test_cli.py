@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios.golden import GOLDEN_FORMAT, SECTIONS
 
 
 def test_describe(capsys):
@@ -244,7 +245,78 @@ def test_golden_check_matches_pinned(capsys):
 
 def test_golden_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["golden", "--file", str(tmp_path / "none.json")]) == 2
-    assert "repro golden --update" in capsys.readouterr().err
+    assert "repro golden tour --update" in capsys.readouterr().err
+
+
+GOLDEN_SECTIONS = ("tour", "scale", "tournament", "paper")
+#: Golden files that are "never pinned" for every section (None: absent).
+UNPINNED = {
+    "missing-file": None,
+    "wrong-format": {"format": 999, "tour": {}},
+    "empty-object": {},
+    "no-sections": {"format": GOLDEN_FORMAT},
+}
+
+
+@pytest.mark.parametrize("section", GOLDEN_SECTIONS)
+@pytest.mark.parametrize("damage", sorted(UNPINNED))
+def test_golden_unpinned_is_exit_2(tmp_path, capsys, section, damage):
+    """A missing file, a file of another format or a missing section
+    is "never pinned" (exit 2), not drift (exit 1): one line naming the
+    file and the exact re-pin command for the section."""
+    path = tmp_path / "golden.json"
+    if UNPINNED[damage] is not None:
+        path.write_text(json.dumps(UNPINNED[damage]))
+    assert main(["golden", section, "--file", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert err.startswith(str(path))
+    assert err.endswith(f"'repro golden {section} --update "
+                        f"--file {path}'")
+
+
+def test_golden_sections_are_the_table():
+    assert set(SECTIONS) == set(GOLDEN_SECTIONS)
+    args = build_parser().parse_args(["golden"])
+    assert args.section == "tour" and args.only == ""
+
+
+def test_golden_filtered_update_keeps_other_pins(tmp_path, monkeypatch,
+                                                 capsys):
+    """``--only`` with ``--update`` re-pins just the matching cells."""
+    from pathlib import Path
+
+    from repro.scenarios import golden
+    path = tmp_path / "golden.json"
+    path.write_text(
+        (Path(__file__).parent / "golden" / "golden.json").read_text())
+    before = golden.load_digests("scale", path)
+    monkeypatch.setattr(
+        golden, "compute_digests",
+        lambda section, only, verbose: {k: "0" * 64
+                                        for k in golden.cells(section,
+                                                              only)})
+    assert main(["golden", "scale", "--only", "paper-256/", "--update",
+                 "--file", str(path)]) == 0
+    assert "pinned 2 scale digest(s)" in capsys.readouterr().out
+    after = golden.load_digests("scale", path)
+    assert set(after) == set(before)
+    for key, digest in before.items():
+        expected = "0" * 64 if key.startswith("paper-256/") else digest
+        assert after[key] == expected
+
+
+@pytest.mark.parametrize("update", [[], ["--update"]],
+                         ids=["check", "update"])
+def test_golden_only_matching_nothing_is_exit_2(tmp_path, capsys, update):
+    from pathlib import Path
+    path = tmp_path / "golden.json"
+    pinned = (Path(__file__).parent / "golden" / "golden.json").read_text()
+    path.write_text(pinned)
+    assert main(["golden", "--only", "no-such-cell", "--file", str(path),
+                 *update]) == 2
+    assert "no tour cell key starts with" in capsys.readouterr().err
+    assert path.read_text() == pinned
 
 
 def test_golden_update_then_check(tmp_path, capsys):
@@ -258,7 +330,7 @@ def test_golden_update_then_check(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------
-# tournament subcommand + golden --tournament
+# tournament subcommand + golden tournament
 # ---------------------------------------------------------------------
 
 def test_tournament_smoke_table(monkeypatch, capsys):
@@ -291,7 +363,7 @@ def test_tournament_unknown_scheme_is_usage_error(capsys):
 def test_golden_tournament_check_matches_pinned(capsys):
     from pathlib import Path
     golden = Path(__file__).parent / "golden" / "golden.json"
-    assert main(["golden", "--tournament", "--file", str(golden)]) == 0
+    assert main(["golden", "tournament", "--file", str(golden)]) == 0
     assert "cell(s) match" in capsys.readouterr().out
 
 
@@ -299,22 +371,22 @@ def test_golden_tournament_unpinned_section_is_exit_2(tmp_path, capsys):
     path = tmp_path / "golden.json"
     assert main(["golden", "--update", "--file", str(path)]) == 0
     capsys.readouterr()
-    assert main(["golden", "--tournament", "--file", str(path)]) == 2
-    assert "--tournament --update" in capsys.readouterr().err
+    assert main(["golden", "tournament", "--file", str(path)]) == 2
+    assert "tournament --update" in capsys.readouterr().err
 
 
 def test_golden_tournament_update_then_drift_is_exit_1(tmp_path, capsys):
     path = tmp_path / "golden.json"
     assert main(["golden", "--update", "--file", str(path)]) == 0
-    assert main(["golden", "--tournament", "--update",
+    assert main(["golden", "tournament", "--update",
                  "--file", str(path)]) == 0
-    assert main(["golden", "--tournament", "--file", str(path)]) == 0
+    assert main(["golden", "tournament", "--file", str(path)]) == 0
     # corrupt one pinned scheme cell: the check must exit 1
     doc = json.loads(path.read_text())
-    doc["scheme_digests"]["intruder/lazy"] = "0" * 64
+    doc["tournament"]["intruder/lazy"] = "0" * 64
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["golden", "--tournament", "--file", str(path)]) == 1
+    assert main(["golden", "tournament", "--file", str(path)]) == 1
     assert "MISMATCH intruder/lazy" in capsys.readouterr().out
 
 

@@ -1,17 +1,22 @@
 """Golden-run regression suite.
 
-``tests/golden/golden.json`` pins the canonical snapshot digest of a
-small sanitized STAMP tour (four workloads x {baseline, puno}).  The
-digest covers *every* counter in :meth:`repro.sim.stats.Stats.snapshot`,
-so any behavioural drift in the protocol — one skipped message, one
-miscounted cycle — flips at least one digest and fails this suite.
+``tests/golden/golden.json`` pins canonical snapshot digests, one
+mapping per section of :data:`repro.scenarios.golden.SECTIONS`.  The
+default section is a small sanitized STAMP tour (four workloads x
+{baseline, puno}); the digest covers *every* counter in
+:meth:`repro.sim.stats.Stats.snapshot`, so any behavioural drift in the
+protocol — one skipped message, one miscounted cycle — flips at least
+one digest and fails this suite.
 
 Intentional behaviour changes are blessed with ``repro golden
---update`` (and the re-pin should be called out in the commit).
+<section> --update`` (and the re-pin should be called out in the
+commit).
 
-The meta-test at the bottom proves the suite has teeth: it flips one
-protocol line (skip the MP-bit relay on UNBLOCK, the PUNO feedback
-path) and asserts the comparison catches it.
+The meta-tests prove the suite has teeth: one flips a protocol line
+(skip the MP-bit relay on UNBLOCK, the PUNO feedback path) and asserts
+the tour catches it; another changes only same-cycle tie order and
+asserts that only the paper section catches it.  The pinned-file I/O
+tests run once per section.
 """
 
 import json
@@ -19,20 +24,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.htm.node import Mshr
+from repro.analysis.sweep import paper_schemes
+from repro.htm.node import Mshr, NodeController
 from repro.scenarios.golden import (
     DEFAULT_GOLDEN_PATH,
     GOLDEN_FORMAT,
     GOLDEN_SCHEMES,
     GOLDEN_WORKLOADS,
-    check_golden,
+    SECTIONS,
+    Unpinned,
+    cells,
+    check,
     compare_digests,
-    compute_golden_digests,
-    golden_cells,
-    load_golden,
-    run_golden_cell,
-    save_golden,
+    compute_digests,
+    load_digests,
+    save_digests,
 )
+from repro.workloads.base import TxOp
+from repro.workloads.stamp import STAMP_WORKLOADS
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 
@@ -40,7 +49,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 @pytest.fixture(scope="module")
 def current_digests():
     """Run the tour once for the whole module (sub-second per cell)."""
-    return compute_golden_digests()
+    return compute_digests("tour")
 
 
 def test_golden_file_is_pinned():
@@ -49,24 +58,23 @@ def test_golden_file_is_pinned():
         "'repro golden --update'")
     doc = json.loads(GOLDEN_PATH.read_text())
     assert doc["format"] == GOLDEN_FORMAT
-    expected = {f"{wl}/{scheme}" for wl, scheme in golden_cells()}
-    assert set(doc["digests"]) == expected
-    for digest in doc["digests"].values():
+    assert set(doc["tour"]) == set(cells("tour"))
+    for digest in doc["tour"].values():
         assert len(digest) == 64
         int(digest, 16)  # valid hex
 
 
 def test_golden_tour_matches_pinned(current_digests):
     """The regression check itself: current behaviour == pinned."""
-    report = check_golden(GOLDEN_PATH, current=current_digests)
+    report = check("tour", GOLDEN_PATH, current=current_digests)
     assert report.ok, "\n" + report.describe()
-    assert len(report.matched) == len(golden_cells())
+    assert len(report.matched) == len(cells("tour"))
 
 
 def test_golden_runs_are_sanitized_and_nontrivial():
     """The tour must exercise real protocol activity (else the digests
     pin nothing) and run with the sanitizer armed."""
-    system = run_golden_cell("intruder", "puno")
+    system = SECTIONS["tour"].run("intruder/puno")
     st = system.stats
     assert st.sanitizer_checks > 0, "sanitizer must be armed"
     assert st.tx_committed > 0
@@ -93,18 +101,17 @@ def test_compare_digests_reports_all_categories():
     assert "FAILED" in text
 
 
-def test_save_and_load_roundtrip(tmp_path):
-    path = tmp_path / "golden.json"
-    digests = {"intruder/puno": "ab" * 32}
-    save_golden(digests, path)
-    assert load_golden(path) == digests
-
-
 def test_load_rejects_wrong_format(tmp_path):
+    """A file of another format is unpinned for every section, and
+    re-pinning a section rewrites it in the current format."""
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps({"format": 999, "digests": {}}))
-    with pytest.raises(ValueError, match="format"):
-        load_golden(path)
+    path.write_text(json.dumps({"format": 999, "tour": {}}))
+    for section in SECTIONS:
+        with pytest.raises(Unpinned, match="format 999"):
+            load_digests(section, path)
+    save_digests("tour", {"intruder/puno": "ab" * 32}, path)
+    assert json.loads(path.read_text()) == {
+        "format": GOLDEN_FORMAT, "tour": {"intruder/puno": "ab" * 32}}
 
 
 def test_default_path_is_repo_relative():
@@ -126,8 +133,8 @@ def test_golden_detects_skipped_mp_relay(monkeypatch, current_digests):
     stopped covering the protocol.
     """
     monkeypatch.setattr(Mshr, "mp_node", lambda self: -1)
-    mutated = compute_golden_digests()
-    report = check_golden(GOLDEN_PATH, current=mutated)
+    mutated = compute_digests("tour")
+    report = check("tour", GOLDEN_PATH, current=mutated)
     assert not report.ok, (
         "golden suite failed to detect a skipped MP-bit relay — "
         "digest coverage has regressed")
@@ -139,7 +146,8 @@ def test_golden_detects_skipped_mp_relay(monkeypatch, current_digests):
     assert baseline_cells <= set(report.matched)
     # And the unmutated tour still matches (sanity: the mismatch above
     # came from the monkeypatch, not from ambient nondeterminism).
-    assert compare_digests(load_golden(GOLDEN_PATH), current_digests).ok
+    assert compare_digests(load_digests("tour", GOLDEN_PATH),
+                           current_digests).ok
 
 
 def test_golden_schemes_cover_both_designs():
@@ -147,3 +155,98 @@ def test_golden_schemes_cover_both_designs():
     assert "puno" in GOLDEN_SCHEMES
     assert set(GOLDEN_WORKLOADS) == {"intruder", "kmeans", "vacation",
                                      "genome"}
+
+
+# ---------------------------------------------------------------------
+# the paper section: Table IV at scale 1.0
+# ---------------------------------------------------------------------
+
+def test_paper_section_pins_table_iv():
+    """Exactly the paper's 8 STAMP workloads x 4 designs are pinned."""
+    pinned = load_digests("paper", GOLDEN_PATH)
+    assert set(paper_schemes()) == {"baseline", "backoff", "rmw", "puno"}
+    expected = {f"{wl}/{scheme}" for wl in STAMP_WORKLOADS
+                for scheme in paper_schemes()}
+    assert len(expected) == 32
+    assert set(pinned) == expected == set(cells("paper"))
+    for digest in pinned.values():
+        assert len(digest) == 64
+        int(digest, 16)
+
+
+def _fused_finish_op(self, op):
+    """``_finish_op`` fused with the ``_run_op`` hop that follows it: the
+    next access (or the commit) is scheduled at ``hit + think`` (or
+    ``hit + commit_cost``) directly.  Every op lands on the same cycle
+    as before; only the heap order among same-cycle events moves."""
+    delay = self._hit_latency
+    if not isinstance(op, TxOp):
+        self._pending = self.sim.schedule(delay, self._next_item)
+        return
+    self._op_idx += 1
+    ops = self._instance.ops
+    if self._op_idx >= len(ops):
+        self._pending = self.sim.schedule(
+            delay + self.config.htm.commit_cost, self._commit)
+        return
+    nxt = ops[self._op_idx]
+    self._op_retries = 0
+    self._pending = self.sim.schedule(delay + nxt.think,
+                                      self._access_op, nxt)
+
+
+def test_only_paper_section_sees_tie_order(monkeypatch):
+    """The reason the paper section exists: a change to same-cycle tie
+    order alone (the fused-op patch) leaves every tour digest as pinned
+    but flips bayes/backoff at scale 1.0 — with the sanitizer clean, so
+    only the pinned digest can catch it."""
+    pinned = load_digests("paper", GOLDEN_PATH)["bayes/backoff"]
+    assert (SECTIONS["paper"].run("bayes/backoff").stats.snapshot_digest()
+            == pinned)
+    monkeypatch.setattr(NodeController, "_finish_op", _fused_finish_op)
+    fused = SECTIONS["paper"].run("bayes/backoff")
+    assert fused.stats.sanitizer_checks > 0  # a violation would raise
+    assert fused.stats.snapshot_digest() != pinned, (
+        "the paper section no longer sees same-cycle tie order")
+    tour = check("tour", GOLDEN_PATH, current=compute_digests("tour"))
+    assert tour.ok, "\n" + tour.describe()
+
+
+# ---------------------------------------------------------------------
+# pinned-file I/O, once per section
+# ---------------------------------------------------------------------
+
+@pytest.fixture(params=sorted(SECTIONS))
+def section(request):
+    return request.param
+
+
+def test_save_and_load_roundtrip(tmp_path, section):
+    path = tmp_path / "golden.json"
+    digests = {"a/x": "ab" * 32, "b/x": "cd" * 32}
+    save_digests(section, digests, path)
+    assert load_digests(section, path) == digests
+    assert json.loads(path.read_text())["format"] == GOLDEN_FORMAT
+
+
+def test_save_preserves_other_sections(tmp_path, section):
+    path = tmp_path / "golden.json"
+    for name in SECTIONS:
+        save_digests(name, {f"{name}/x": "a" * 64}, path)
+    save_digests(section, {f"{section}/y": "b" * 64}, path)
+    for name in SECTIONS:
+        expected = ({f"{section}/y": "b" * 64} if name == section
+                    else {f"{name}/x": "a" * 64})
+        assert load_digests(name, path) == expected
+
+
+def test_load_missing_file_or_section_raises(tmp_path, section):
+    path = tmp_path / "golden.json"
+    with pytest.raises(Unpinned, match="no such file"):
+        load_digests(section, path)
+    other = next(name for name in SECTIONS if name != section)
+    save_digests(other, {"a/x": "a" * 64}, path)
+    with pytest.raises(Unpinned, match=f"no {section} section; pin it "
+                                       f"with 'repro golden {section} "
+                                       f"--update"):
+        load_digests(section, path)

@@ -3,10 +3,11 @@
 The 256/1024-node scenarios run entirely on the computed-routing and
 pooled-directory paths, so their sanitized smoke digests are the
 bit-identity contract for the scale-out machinery the same way the
-STAMP tour pins the 16-node protocol.  The full family (~20 s) runs in
-CI's scale-smoke job via ``repro golden --scale``; the tests here keep
-every pytest invocation cheap by re-running only the cheapest cell and
-checking the rest structurally.
+STAMP tour pins the 16-node protocol.  The full family (~25 s) runs
+via ``repro golden scale`` (CI's scale-smoke job runs its paper-256
+cells under an RSS budget); the tests here keep every pytest
+invocation cheap by re-running only the cheapest cell and checking the
+rest structurally.
 """
 
 import json
@@ -17,12 +18,10 @@ import pytest
 from repro.scenarios.golden import (
     GOLDEN_FORMAT,
     SCALE_SCENARIOS,
-    check_scale_golden,
-    load_scale_golden,
-    run_scale_cell,
-    save_golden,
-    save_scale_golden,
-    scale_cells,
+    SECTIONS,
+    cells,
+    check,
+    load_digests,
 )
 from repro.scenarios.registry import get_scenario
 
@@ -81,10 +80,8 @@ def test_scale_meshes_use_computed_routing():
 def test_scale_section_is_pinned():
     doc = json.loads(GOLDEN_PATH.read_text())
     assert doc["format"] == GOLDEN_FORMAT
-    expected = {f"{sc}/{wl}/{scheme}/s{seed}"
-                for sc, wl, scheme, seed in scale_cells()}
-    assert set(doc["scale_digests"]) == expected
-    for digest in doc["scale_digests"].values():
+    assert set(doc["scale"]) == set(cells("scale"))
+    for digest in doc["scale"].values():
         assert len(digest) == 64
         int(digest, 16)
 
@@ -92,7 +89,7 @@ def test_scale_section_is_pinned():
 @pytest.fixture(scope="module")
 def paper_256_cells():
     """The two sub-second paper-256 smoke cells, run once per module."""
-    return {scheme: run_scale_cell("paper-256", "zipf", scheme, 0)
+    return {scheme: SECTIONS["scale"].run(f"paper-256/zipf/{scheme}/s0")
             for scheme in ("baseline", "puno")}
 
 
@@ -100,14 +97,14 @@ def test_cheapest_scale_cell_matches_pinned(paper_256_cells):
     """Re-run the sub-second cells (paper-256 zipf) and compare their
     digests against the pinned section — the fast regression tooth;
     CI's scale-smoke job covers the remaining cells."""
-    pinned = load_scale_golden(GOLDEN_PATH)
+    pinned = load_digests("scale", GOLDEN_PATH)
     for scheme, system in paper_256_cells.items():
         assert system.stats.sanitizer_checks > 0
         assert (system.stats.snapshot_digest()
                 == pinned[f"paper-256/zipf/{scheme}/s0"]), (
             f"paper-256 {scheme} smoke digest drifted — scale-out "
             f"behaviour changed; if intentional, bless with "
-            f"'repro golden --scale --update'")
+            f"'repro golden scale --update'")
 
 
 def test_puno_event_cost_tracks_baseline(paper_256_cells):
@@ -121,51 +118,24 @@ def test_puno_event_cost_tracks_baseline(paper_256_cells):
 
 
 def test_check_scale_golden_with_injected_digests():
-    pinned = load_scale_golden(GOLDEN_PATH)
-    ok = check_scale_golden(GOLDEN_PATH, current=dict(pinned))
+    pinned = load_digests("scale", GOLDEN_PATH)
+    ok = check("scale", GOLDEN_PATH, current=dict(pinned))
     assert ok.ok and len(ok.matched) == len(pinned)
     mutated = dict(pinned)
     first = next(iter(mutated))
     mutated[first] = "0" * 64
-    bad = check_scale_golden(GOLDEN_PATH, current=mutated)
+    bad = check("scale", GOLDEN_PATH, current=mutated)
     assert not bad.ok and first in bad.mismatched
 
 
 def test_check_scale_golden_scenario_subset():
     """Restricting to paper-256 (the CI job) ignores the 1024 cells
     instead of reporting them missing."""
-    pinned = load_scale_golden(GOLDEN_PATH)
+    pinned = load_digests("scale", GOLDEN_PATH)
     subset = {c: d for c, d in pinned.items()
               if c.startswith("paper-256/")}
-    report = check_scale_golden(GOLDEN_PATH, current=subset,
-                                scenarios=("paper-256",))
+    report = check("scale", GOLDEN_PATH, only="paper-256/",
+                   current=subset)
     assert report.ok
     assert not report.missing
-
-
-# ---------------------------------------------------------------------
-# pinned-file I/O keeps the two sections independent
-# ---------------------------------------------------------------------
-
-def test_save_golden_preserves_scale_section(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/baseline": "a" * 64}, path)
-    save_scale_golden({"paper-256/zipf/baseline/s0": "b" * 64}, path)
-    # re-pinning the main tour must not drop the scale section
-    save_golden({"intruder/baseline": "c" * 64}, path)
-    doc = json.loads(path.read_text())
-    assert doc["digests"] == {"intruder/baseline": "c" * 64}
-    assert doc["scale_digests"] == {
-        "paper-256/zipf/baseline/s0": "b" * 64}
-
-
-def test_save_scale_requires_existing_file(tmp_path):
-    with pytest.raises(FileNotFoundError, match="pin the main tour"):
-        save_scale_golden({"x": "0" * 64}, tmp_path / "none.json")
-
-
-def test_load_scale_missing_section_raises(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/baseline": "a" * 64}, path)
-    with pytest.raises(KeyError, match="no scale section"):
-        load_scale_golden(path)
+    assert len(report.matched) == len(subset) == 2

@@ -6,7 +6,7 @@ contract.  The matrix below runs each scheme through the sanitized
 paper-16 smoke workloads and asserts the invariants of
 :mod:`repro.testing`; the mutation meta-tests then seed one deliberate
 bug per new scheme and prove (a) the conformance suite and (b) the
-pinned ``scheme_digests`` golden section each catch it, mirroring the
+pinned ``tournament`` golden section each catch it, mirroring the
 MP-bit relay meta-test of the main golden tour.
 """
 
@@ -17,14 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios.golden import (
-    check_scheme_golden,
+    SECTIONS,
+    cells,
+    check,
     compare_digests,
-    load_golden,
-    load_scheme_golden,
-    run_scheme_cell,
-    save_golden,
-    save_scheme_golden,
-    scheme_cells,
+    load_digests,
 )
 from repro.schemes import (
     AdaptiveRequeue,
@@ -81,23 +78,22 @@ def test_conformance_exercises_real_contention():
 
 
 # ---------------------------------------------------------------------
-# scheme_digests golden section
+# tournament golden section
 # ---------------------------------------------------------------------
 
 def test_scheme_section_is_pinned_and_complete():
     doc = json.loads(GOLDEN_PATH.read_text())
-    assert "scheme_digests" in doc, (
-        "golden.json has no scheme section — pin it with "
-        "'repro golden --tournament --update'")
-    expected = {f"{wl}/{scheme}" for wl, scheme in scheme_cells()}
-    assert set(doc["scheme_digests"]) == expected
-    for digest in doc["scheme_digests"].values():
+    assert "tournament" in doc, (
+        "golden.json has no tournament section — pin it with "
+        "'repro golden tournament --update'")
+    assert set(doc["tournament"]) == set(cells("tournament"))
+    for digest in doc["tournament"].values():
         assert len(digest) == 64
         int(digest, 16)
 
 
 def test_new_schemes_have_pinned_tournament_digests():
-    pinned = load_scheme_golden(GOLDEN_PATH)
+    pinned = load_digests("tournament", GOLDEN_PATH)
     for scheme in ("phase-priority", "adaptive-requeue", "lazy"):
         for wl in ("intruder", "vacation"):
             assert f"{wl}/{scheme}" in pinned
@@ -105,39 +101,21 @@ def test_new_schemes_have_pinned_tournament_digests():
 
 def test_tournament_grid_matches_pinned():
     """The regression check itself, over every registered scheme."""
-    report = check_scheme_golden(GOLDEN_PATH)
+    report = check("tournament", GOLDEN_PATH)
     assert report.ok, "\n" + report.describe()
-    assert len(report.matched) == len(scheme_cells())
+    assert len(report.matched) == len(cells("tournament"))
 
 
 def test_scheme_section_agrees_with_main_tour():
     """baseline/puno tournament cells share the main tour's envelope,
     so their digests must be literally the same — a cross-section
     consistency check that both sections pin the same behaviour."""
-    tour = load_golden(GOLDEN_PATH)
-    schemes_section = load_scheme_golden(GOLDEN_PATH)
+    tour = load_digests("tour", GOLDEN_PATH)
+    schemes_section = load_digests("tournament", GOLDEN_PATH)
     for wl in ("intruder", "vacation"):
         for scheme in ("baseline", "puno"):
             assert schemes_section[f"{wl}/{scheme}"] == \
                 tour[f"{wl}/{scheme}"]
-
-
-def test_save_scheme_golden_roundtrip_and_preservation(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/puno": "ab" * 32}, path)
-    with pytest.raises(KeyError, match="scheme section"):
-        load_scheme_golden(path)
-    save_scheme_golden({"intruder/lazy": "cd" * 32}, path)
-    assert load_scheme_golden(path) == {"intruder/lazy": "cd" * 32}
-    # re-pinning the main tour preserves the scheme (and scale) section
-    save_golden({"intruder/puno": "ef" * 32}, path)
-    assert load_scheme_golden(path) == {"intruder/lazy": "cd" * 32}
-    assert load_golden(path) == {"intruder/puno": "ef" * 32}
-
-
-def test_save_scheme_golden_needs_main_tour_first(tmp_path):
-    with pytest.raises(FileNotFoundError, match="main tour"):
-        save_scheme_golden({"a/b": "0" * 64}, tmp_path / "none.json")
 
 
 # ---------------------------------------------------------------------
@@ -189,10 +167,10 @@ def test_golden_catches_phase_priority_inversion(monkeypatch):
         return item
 
     monkeypatch.setattr(PhasePriorityArbiter, "select", inverted_select)
-    pinned = load_scheme_golden(GOLDEN_PATH)
+    pinned = load_digests("tournament", GOLDEN_PATH)
     current = dict(pinned)
     for wl in ("intruder", "vacation"):
-        system = run_scheme_cell(wl, "phase-priority")
+        system = SECTIONS["tournament"].run(f"{wl}/phase-priority")
         current[f"{wl}/phase-priority"] = \
             system.stats.snapshot_digest()
     report = compare_digests(pinned, current)
@@ -234,9 +212,9 @@ def test_golden_catches_adaptive_requeue_unseeded_rng(monkeypatch):
         self.rng = random.Random()
 
     monkeypatch.setattr(AdaptiveRequeue, "__init__", unseeded_init)
-    pinned = load_scheme_golden(GOLDEN_PATH)
+    pinned = load_digests("tournament", GOLDEN_PATH)
     current = dict(pinned)
-    system = run_scheme_cell("intruder", "adaptive-requeue")
+    system = SECTIONS["tournament"].run("intruder/adaptive-requeue")
     current["intruder/adaptive-requeue"] = \
         system.stats.snapshot_digest()
     report = compare_digests(pinned, current)
