@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import INSTRUMENT, SAMPLER, Simulator
 from repro.sim.stats import Stats
 
 
@@ -43,13 +43,15 @@ class TimeSeriesSampler:
         self._active = False
         self._sim: Optional[Simulator] = None
         self._stats: Optional[Stats] = None
+        self._key = 0
 
     # ------------------------------------------------------------------
     def attach(self, sim: Simulator, stats: Stats) -> None:
         self._sim = sim
         self._stats = stats
         self._active = True
-        sim.call_later(self.interval, self._tick)
+        self._key = sim.owner_key(INSTRUMENT, SAMPLER)
+        sim.call_later(self.interval, self._tick, owner=self._key)
 
     def stop(self) -> None:
         """Take one final sample and stop rescheduling."""
@@ -62,7 +64,7 @@ class TimeSeriesSampler:
             return
         self._snapshot()
         assert self._sim is not None
-        self._sim.call_later(self.interval, self._tick)
+        self._sim.call_later(self.interval, self._tick, owner=self._key)
 
     def _snapshot(self) -> None:
         s = self._stats

@@ -26,7 +26,7 @@ from repro.core.bitset import bit_tuple
 from repro.network.message import Message, MessageType, make_put_ack
 from repro.network.network import Network
 from repro.sim.config import SystemConfig
-from repro.sim.engine import Simulator
+from repro.sim.engine import DIR, Simulator
 from repro.sim.stats import Stats
 
 __all__ = ["DirEntry", "DirEntryPool", "DirectoryController",
@@ -68,6 +68,8 @@ class DirectoryController:
                  pool: Optional[DirEntryPool] = None, arbiter=None):
         self.sim = sim
         self.node = node
+        # declared same-cycle order of this bank's events (sim.engine)
+        self._key = sim.owner_key(DIR, node)
         self.config = config
         self.network = network
         self.stats = stats
@@ -149,7 +151,8 @@ class DirectoryController:
             # bank occupancy and unblocks when the response leaves.
             self._block(entry, ServiceRecord(msg, "simple", self.sim.now))
             delay = self.config.directory_latency + self.config.l2_latency
-            self.sim.call_later(delay, self._finish_simple_gets, msg, entry)
+            self.sim.call_later(delay, self._finish_simple_gets, msg, entry,
+                                owner=self._key)
         else:  # M: forward to the owner
             assert entry.owner is not None and entry.owner != msg.requester, (
                 f"GETS from owner {msg.requester} addr {msg.addr}")
@@ -217,7 +220,7 @@ class DirectoryController:
             if not was_sharer:
                 delay += self.config.l2_latency
             self.sim.call_later(delay, self._finish_sole_getx, msg, entry,
-                              was_sharer)
+                                was_sharer, owner=self._key)
             return
 
         # PUNO: try to unicast to the predicted highest-priority sharer.
@@ -308,7 +311,8 @@ class DirectoryController:
             delay = self.config.directory_latency + self.config.memory_latency
             self.stats.l2_misses += 1
         self._block(entry, ServiceRecord(msg, "fetch", self.sim.now))
-        self.sim.call_later(delay, self._finish_fetch, msg, entry)
+        self.sim.call_later(delay, self._finish_fetch, msg, entry,
+                            owner=self._key)
 
     def _finish_fetch(self, msg: Message, entry: DirEntry) -> None:
         entry.in_l2 = True

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.network.message import Message, MessageType
+from repro.sim.engine import FAULT_STALL, INSTRUMENT
 from repro.sim.rng import RngFactory
 
 FAULT_KINDS = ("drop", "duplicate", "delay", "reorder")
@@ -211,6 +212,8 @@ class FaultInjector:
         self.stalls_injected = 0
         # wiring (filled by attach)
         self.sim = None
+        self._net = None
+        self._stall_key = 0
         self._inner = None
         self._mesh_lat = None
         self._n = 0
@@ -238,7 +241,8 @@ class FaultInjector:
             raise RuntimeError("FaultInjector is already attached")
         self._attached = True
         self.sim = system.sim
-        net = system.network
+        net = self._net = system.network
+        self._stall_key = self.sim.owner_key(INSTRUMENT, FAULT_STALL)
         self._inner = net.send
         self._mesh_lat = net._mesh_lat
         self._n = net._n
@@ -251,7 +255,8 @@ class FaultInjector:
             node.fault_tolerant = True
         if self.config.stall_interval > 0 and self.config.stall_duration > 0:
             self._stall_ev = self.sim.schedule(
-                self.config.stall_interval, self._inject_stall)
+                self.config.stall_interval, self._inject_stall,
+                owner=self._stall_key)
 
     def stop(self) -> None:
         """Cancel the recurring stall timer (workload finished)."""
@@ -288,8 +293,10 @@ class FaultInjector:
         if reorder > 0.0 and key not in self._held and rng.random() < reorder:
             # hold this message; the next send on the pair (or the
             # window flush) releases it behind whatever overtook it
+            # the flush is a delivery of the held message's link
             flush = self.sim.schedule(self.config.reorder_window,
-                                      self._flush_held, key)
+                                      self._flush_held, key,
+                                      owner=self._net.link_key(*key))
             self._held[key] = (msg, extra_delay + jitter, flush)
             self.reordered += 1
             return
@@ -352,7 +359,8 @@ class FaultInjector:
             self._stalled_until[victim] = until
         self.stalls_injected += 1
         self._stall_ev = self.sim.schedule(self.config.stall_interval,
-                                           self._inject_stall)
+                                           self._inject_stall,
+                                           owner=self._stall_key)
 
     def _stall_penalty(self, msg: Message, base_delay: int) -> int:
         until = self._stalled_until.get(msg.dst)

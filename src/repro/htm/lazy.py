@@ -191,7 +191,7 @@ class LazyNodeController(NodeController):
         line.value += self._write_buffer[addr]
         self._publish_queue.pop(0)
         self.sim.call_later(self.config.cache.hit_latency,
-                            self._publish_next)
+                            self._publish_next, owner=self._key)
 
     def _finish_publish(self) -> None:
         tx = self.tx
@@ -248,7 +248,8 @@ class LazyNodeController(NodeController):
             # race loser or a stale forward; retry quickly
             self._op_retries += 1
             self._pending = self.sim.schedule(
-                self.config.htm.nack_backoff, self._publish_retry, m.op[1])
+                self.config.htm.nack_backoff, self._publish_retry, m.op[1],
+                owner=self._key)
             return
         super()._failed_request(m)
 

@@ -22,9 +22,10 @@ in the simulator.  Five things keep it lean:
   accumulator (``Stats._msg_counts``), and the delivery handler itself
   (``_handlers[dst * N + code]``), so the path neither hashes enum
   objects nor branches on ``DATA_TYPES`` membership;
-* delivery schedules the destination's per-type bound handler directly
-  (via the Event-free ``Simulator.call_later`` — deliveries are never
-  cancelled), so delivery costs zero intermediate Python calls;
+* delivery pushes the destination's per-type bound handler straight
+  onto the engine heap (an inlined, Event-free ``Simulator.call_later``
+  — deliveries are never cancelled) under the link's declared
+  same-cycle key, so delivery costs zero intermediate Python calls;
 * the sanitizer check is hoisted out entirely: assigning ``san``
   switches the instance between the mode-selected fast send and
   ``_send_full``, so unsanitized runs never test ``san is None`` per
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
 from repro.network.message import DATA_TYPES, Message, MessageType, \
     N_MESSAGE_TYPES
 from repro.network.topology import ClusterMesh, Mesh
-from repro.sim.engine import Simulator
+from repro.sim.engine import NET, Simulator
 
 if TYPE_CHECKING:  # Stats imports message's code tables: import only
     from repro.sim.stats import Stats  # for annotations to avoid a cycle
@@ -72,7 +73,14 @@ class Network:
         cf, df = self._control_flits, self._data_flits
         self._msg_flits: List[int] = [df if t in DATA_TYPES else cf
                                       for t in MessageType]
-        self._n = mesh.num_nodes
+        self._n = n = mesh.num_nodes
+        # Declared same-cycle order of deliveries: by link src * N + dst
+        # (repro.sim.engine).  Owner keys are linear in the owner id, so
+        # link idx's key is _link0 + idx * _link_stride; the last link
+        # is keyed once here so an oversized mesh fails at wiring time.
+        sim.owner_key(NET, n * n - 1)
+        self._link0 = sim.owner_key(NET, 0)
+        self._link_stride = sim.owner_key(NET, 1) - self._link0
         # pre-bound hot references: one load each per send
         self._schedule = sim.call_later  # cold paths / introspection
         self._msg_counts = stats._msg_counts
@@ -169,7 +177,8 @@ class Network:
         sim._seq = seq + 1
         sim._live += 1
         heappush(sim._heap, (sim.now + self._mesh_lat[idx] + extra_delay,
-                             seq, None, handler, (msg,)))
+                             self._link0 + idx * self._link_stride + seq,
+                             None, handler, (msg,)))
 
     def _send_computed(self, msg: Message, extra_delay: int = 0) -> None:
         """Table-free twin of ``_send_fast`` for large meshes.
@@ -202,7 +211,12 @@ class Network:
         sim._seq = seq + 1
         sim._live += 1
         heappush(sim._heap, (sim.now + lat + extra_delay,
-                             seq, None, handler, (msg,)))
+                             self._link0 + idx * self._link_stride + seq,
+                             None, handler, (msg,)))
+
+    def link_key(self, src: int, dst: int) -> int:
+        """Declared same-cycle key of the ``src -> dst`` link."""
+        return self._link0 + (src * self._n + dst) * self._link_stride
 
     def _send_full(self, msg: Message, extra_delay: int = 0) -> None:
         """The mode-selected fast send plus the per-message sanitizer

@@ -16,8 +16,9 @@ of its cell keys and a function that runs one cell.
   until pinned.
 * ``paper`` — the paper's Table IV matrix: all eight STAMP workloads x
   {baseline, backoff, rmw, puno} at scale 1.0 (~12 s).  It is the only
-  section that runs bayes, labyrinth and yada, and the only one that
-  sees same-cycle tie order (see ``tests/test_golden.py``).
+  section that runs bayes, labyrinth and yada; its long, contended runs
+  are where a change to the declared same-cycle order
+  (:mod:`repro.sim.engine`) shows (see ``tests/test_golden.py``).
 
 The three STAMP sections share one envelope — 16 nodes, workload seed
 ``GOLDEN_SEED``, config seed ``GOLDEN_SEED + 1``, PUNO units enabled

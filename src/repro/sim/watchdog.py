@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.sim.engine import INSTRUMENT, WATCHDOG
+
 
 @dataclass(frozen=True)
 class WatchdogConfig:  # lint: disable=dataclass-slots -- frozen config built once per run; frozen+slots breaks 3.10 pickle
@@ -129,8 +131,10 @@ class Watchdog:
             raise RuntimeError("Watchdog is already attached")
         self.system = system
         self.sim = system.sim
+        self._key = self.sim.owner_key(INSTRUMENT, WATCHDOG)
         self._progress_cycle = self.sim.now
-        self._ev = self.sim.schedule(self.config.check_interval, self._tick)
+        self._ev = self.sim.schedule(self.config.check_interval, self._tick,
+                                     owner=self._key)
 
     def stop(self) -> None:
         """Cancel the pending tick (called when the workload finishes)."""
@@ -179,7 +183,8 @@ class Watchdog:
                 "no-progress",
                 f"no commit or node completion for {stalled_for} cycles "
                 f"({window_nacks} NACKs in the window)"))
-        self._ev = sim.schedule(self.config.check_interval, self._tick)
+        self._ev = sim.schedule(self.config.check_interval, self._tick,
+                                owner=self._key)
 
     # ------------------------------------------------------------------
     def make_report(self, kind: str, detail: str) -> StallReport:

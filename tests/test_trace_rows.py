@@ -37,17 +37,19 @@ def _jsonl(tracer, tmp_path, name="trace.jsonl"):
 
 
 # (categories, limit) -> (stored, dropped, counts, sha256 of write_jsonl),
-# recorded with per-record emit() calls before the compact rows existed.
+# first recorded with per-record emit() calls before the compact rows
+# existed, re-pinned once when same-cycle order became a declared key
+# (repro.sim.engine); the recorders are checked against emit() below.
 PINNED = {
     (None, None): (
-        6709, 0, {"tx": 472, "msg": 4704, "dir": 1402, "puno": 131},
-        "f251c3f04dff777e123c4bcbfbb2fe2030a40c06560642fd4ba79b2f43044208"),
+        6720, 0, {"tx": 474, "msg": 4712, "dir": 1403, "puno": 131},
+        "3d5d3f504aea41a31126f35a185e64797746abed0d3af8778ac71d54bb72bed2"),
     (("msg", "dir", "puno"), 3000): (
-        3000, 3237, {"msg": 4704, "dir": 1402, "puno": 131},
-        "11ea6f4d7c285b99298d34de7f1dcee1d1ac69dc66ccedf67c30f7224e77797b"),
+        3000, 3246, {"msg": 4712, "dir": 1403, "puno": 131},
+        "9474bdf4ea2c528a06d81437c6684829ccff981d5e17db4ac524cb0f1de5fa6d"),
     (("dir",), 500): (
-        500, 902, {"dir": 1402},
-        "d52a8cb70fac6dcbf03bb501a2bee2869c1742c18dbec155ddb18c9839eb65f7"),
+        500, 903, {"dir": 1403},
+        "b5ebe172ea8d56ac38665bb5fcbcca2b54b42017e98a27c8f71ab9efd537fa1a"),
 }
 
 
@@ -56,7 +58,7 @@ def test_golden_cell_trace_pinned(categories, limit, tmp_path):
     stored, dropped, counts, sha = PINNED[categories, limit]
     tracer = Tracer(categories=categories, limit=limit)
     system = _golden_intruder_puno(tracer)
-    assert system.stats.sanitizer_checks == 9536
+    assert system.stats.sanitizer_checks == 9556
     assert len(tracer.events) == stored
     assert tracer.dropped == dropped
     assert isinstance(tracer.counts, Counter)
