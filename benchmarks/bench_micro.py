@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks: message allocation, network send/deliver,
 handler dispatch, raw event-engine throughput, and an end-to-end
-STAMP-tour event-rate measurement.
+STAMP-tour measurement of wall time per committed transaction.
 
 Writes ``BENCH_hotpath.json`` (repo root by default) so the perf
 trajectory is versioned alongside the code.  ``--check BASELINE.json``
-compares the fresh end-to-end aggregate event rate against a committed
-baseline and exits non-zero only on a gross (>2x) regression — loose
-enough to ride out shared-runner noise, tight enough to catch a
-quadratic slip on the hot path.
+compares the fresh end-to-end aggregate wall time per committed
+transaction against a committed baseline and exits non-zero only on a
+gross (>2x) regression — loose enough to ride out shared-runner noise,
+tight enough to catch a quadratic slip on the hot path.  The gate is
+per commit, not per event: a change that does the same work in fewer
+heap events must read as faster, not slower.
 
 Run directly (no install needed)::
 
@@ -318,10 +320,11 @@ def bench_end_to_end(scale: float, repeats: int) -> dict:
 
     out = {}
     total_events = 0
+    total_commits = 0
     total_wall = 0.0
     for wl_name, scheme in TOUR_CELLS:
         best = float("inf")
-        events = 0
+        events = commits = 0
         snap_sha = ""
         for _ in range(repeats):
             wl = make_stamp_workload(wl_name, num_nodes=16, scale=scale,
@@ -335,6 +338,7 @@ def bench_end_to_end(scale: float, repeats: int) -> dict:
             wall = time.perf_counter() - t0
             best = min(best, wall)
             events = system.sim.events_processed
+            commits = result.stats.tx_committed
             blob = json.dumps(_canon(result.stats.snapshot()),
                               sort_keys=True)
             sha = hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -344,11 +348,15 @@ def bench_end_to_end(scale: float, repeats: int) -> dict:
                     f"changed between repeats")
             snap_sha = sha
         key = f"{wl_name}/{scheme}"
-        out[key] = {"events": events, "events_per_sec": events / best,
+        out[key] = {"events": events, "commits": commits,
+                    "events_per_sec": events / best,
+                    "us_per_commit": best / commits * 1e6,
                     "snapshot_sha": snap_sha}
         total_events += events
+        total_commits += commits
         total_wall += best
     out["aggregate_events_per_sec"] = total_events / total_wall
+    out["aggregate_us_per_commit"] = total_wall / total_commits * 1e6
     return out
 
 
@@ -380,26 +388,27 @@ def run_benchmarks(scale: float, repeats: int, micro_n: int,
 
 def check_against(report: dict, baseline_path: Path,
                   tolerance: float = 2.0) -> int:
-    """0 when the fresh aggregate rate is within ``tolerance``x of the
-    committed baseline AND of the pre-optimization reference floor
-    (the ``reference_pre_pr`` block, when the baseline carries one);
-    1 on a gross regression against either."""
+    """0 when the fresh aggregate wall time per committed transaction
+    is within ``tolerance``x of the committed baseline AND of the
+    pre-optimization reference floor (the ``reference_pre_pr`` block,
+    when the baseline carries one); 1 on a gross regression against
+    either."""
     baseline = json.loads(baseline_path.read_text())
-    fresh = report["end_to_end"]["aggregate_events_per_sec"]
+    fresh = report["end_to_end"]["aggregate_us_per_commit"]
     status = 0
     checks = [("baseline",
-               baseline["end_to_end"]["aggregate_events_per_sec"])]
+               baseline["end_to_end"]["aggregate_us_per_commit"])]
     ref_block = baseline.get("reference_pre_pr")
     if ref_block:
         checks.append(("pre-optimization floor",
-                       ref_block["end_to_end"]["aggregate_events_per_sec"]))
+                       ref_block["end_to_end"]["aggregate_us_per_commit"]))
     for label, ref in checks:
-        ratio = ref / fresh if fresh else float("inf")
-        print(f"perf check: fresh {fresh:.0f} ev/s vs {label} "
-              f"{ref:.0f} ev/s (slowdown {ratio:.2f}x, "
+        ratio = fresh / ref
+        print(f"perf check: fresh {fresh:.1f} us/commit vs {label} "
+              f"{ref:.1f} us/commit (slowdown {ratio:.2f}x, "
               f"limit {tolerance:.1f}x)")
         if ratio > tolerance:
-            print(f"perf check FAILED: gross event-rate regression "
+            print(f"perf check FAILED: gross per-commit regression "
                   f"against the {label}")
             status = 1
     status |= check_mesh_scaling(report, baseline, tolerance)
@@ -489,7 +498,8 @@ def main(argv=None) -> int:
                     help="output JSON path")
     ap.add_argument("--check", type=Path, metavar="BASELINE",
                     help="compare against a committed baseline JSON; "
-                         "exit 1 on >2x aggregate event-rate regression")
+                         "exit 1 on >2x aggregate wall-time-per-commit "
+                         "regression")
     ap.add_argument("--reference-from", type=Path, metavar="PRIOR",
                     help="embed PRIOR's own end-to-end numbers as this "
                          "report's reference_pre_pr block (use when "
@@ -531,9 +541,12 @@ def main(argv=None) -> int:
     e2e = report["end_to_end"]
     for cell in (f"{w}/{s}" for w, s in TOUR_CELLS):
         r = e2e[cell]
-        print(f"{cell}: {r['events']} events @ {r['events_per_sec']:.0f} "
-              f"ev/s  snapshot {r['snapshot_sha']}")
-    print(f"aggregate: {e2e['aggregate_events_per_sec']:.0f} ev/s")
+        print(f"{cell}: {r['events']} events / {r['commits']} commits @ "
+              f"{r['us_per_commit']:.1f} us/commit "
+              f"({r['events_per_sec']:.0f} ev/s)  "
+              f"snapshot {r['snapshot_sha']}")
+    print(f"aggregate: {e2e['aggregate_us_per_commit']:.1f} us/commit "
+          f"({e2e['aggregate_events_per_sec']:.0f} ev/s)")
     print(f"wrote {args.out}")
 
     if args.check is not None:
